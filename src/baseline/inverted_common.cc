@@ -94,6 +94,10 @@ void InvertedIndexEngineBase::OnRelationEvicted(const Relation* rel) {
   if (cache_ != nullptr) cache_->Evict(rel);
 }
 
+void InvertedIndexEngineBase::OnRowErase(const Relation* rel, size_t row) {
+  if (cache_ != nullptr) cache_->PatchErase(rel, row);
+}
+
 std::vector<QueryId> InvertedIndexEngineBase::AffectedQueries(
     const EdgeUpdate& u) const {
   std::vector<QueryId> qids;

@@ -49,6 +49,10 @@ class InvertedIndexEngineBase : public ViewEngineBase {
   /// variant's cached indexes over it.
   void OnRelationEvicted(const Relation* rel) override;
 
+  /// Retraction hook: a base view is about to erase a row — patch the "+"
+  /// variant's cached indexes over it in place.
+  void OnRowErase(const Relation* rel, size_t row) override;
+
   /// The "+" persistent cache, or the batch window's transient cache.
   JoinIndexSource* IndexSource() {
     return cache_ != nullptr ? static_cast<JoinIndexSource*>(cache_.get())

@@ -12,6 +12,7 @@
 
 #include "common/hash.h"
 #include "common/ids.h"
+#include "common/logging.h"
 
 #if !defined(GSTREAM_NO_SIMD) && defined(__SSE2__)
 #include <emmintrin.h>
@@ -39,15 +40,23 @@ namespace gstream {
 ///  * capacity is a power of two (and a multiple of the 16-slot group);
 ///    probing walks group-aligned windows, `g = (g + 16) & mask`;
 ///  * growth at ~7/8 load factor keeps probe chains short;
-///  * the two hot-path containers (`FlatPostingMap`, `FlatRowSet`) have no
-///    per-element erase (the data plane is append-only within a relation
-///    generation; retractions rebuild), so a group containing an empty slot
-///    always terminates their probes. The colder `FlatMap` supports
-///    `Erase`/`Compact` for the query-lifecycle GC (routing indexes and
-///    cached join tables shrink when queries are removed): erased slots
-///    become tombstones that keep probe chains intact, and `Compact`
-///    rehashes them (and excess capacity) away so `MemoryBytes` reflects
-///    the release.
+///  * every container erases in place: an erased slot becomes a tombstone
+///    that keeps probe chains intact, so only a group holding a truly empty
+///    slot terminates a probe. An erase whose group still holds an empty
+///    slot writes an empty slot instead (no probe chain ever ran through
+///    that group — groups are probed aligned, and a group regains an empty
+///    slot only through this rule or a rehash). Inserts reuse the first free
+///    slot on their chain; tombstones count against the load factor, and a
+///    table that trips it doubles only when its live entries alone need the
+///    room — otherwise it rehashes at its capacity, dropping the tombstones
+///    (`GrowthCapacity`) — so a sliding window of keys keeps a bounded
+///    table. The hot-path containers (`FlatPostingMap`, `FlatRowSet`) erase
+///    for the data plane's in-place retractions (`FlatPostingMap` also
+///    shrinks as its keys leave, see `Remove`); the
+///    colder `FlatMap` additionally offers `Compact` for the query-lifecycle
+///    GC (routing indexes and cached join tables shrink when queries are
+///    removed), which rehashes tombstones and excess capacity away so
+///    `MemoryBytes` reflects the release.
 ///
 /// SIMD: the 16-byte group compare uses SSE2 on x86 and NEON on arm; defining
 /// `GSTREAM_NO_SIMD` (CMake option of the same name) selects a portable
@@ -65,9 +74,9 @@ inline constexpr size_t kGroupWidth = 16;
 inline constexpr int8_t kCtrlEmpty = -128;
 
 /// Control byte of a tombstoned (erased) slot: negative like kCtrlEmpty so
-/// `MatchEmpty` (sign-bit) treats it as free for the containers that never
-/// erase, but distinct so erase-aware probes (`FlatMap`) can keep walking
-/// past it — a tombstone never terminates a probe chain.
+/// `MatchEmpty` (sign-bit) finds it as a free slot for inserts, but
+/// distinct so probes keep walking past it — a tombstone never terminates a
+/// probe chain (probes stop on `Match(kCtrlEmpty)`).
 inline constexpr int8_t kCtrlDeleted = -2;
 
 /// Smallest power-of-two capacity that holds `n` entries at ≤7/8 load.
@@ -75,6 +84,23 @@ inline size_t RoundUpCapacity(size_t n) {
   size_t cap = kGroupWidth;
   while (cap * 7 < n * 8) cap <<= 1;
   return cap;
+}
+
+/// True when an insert that claims a fresh empty slot would push `live`
+/// entries plus `tombstones` past the 7/8 load factor of `cap` slots.
+inline bool NeedsGrowth(size_t live, size_t tombstones, size_t cap) {
+  return cap == 0 || (live + tombstones + 1) * 8 > cap * 7;
+}
+
+/// Capacity a table that tripped `NeedsGrowth` rehashes into: double only
+/// when the live entries alone need it, else the same capacity with the
+/// tombstones dropped. A table whose live count slides — inserts and erases
+/// in equal measure — therefore stays exactly as large as an erase-free
+/// table holding its peak. Near full load the in-place rehashes come more
+/// often, each O(capacity).
+inline size_t GrowthCapacity(size_t live, size_t cap) {
+  if (cap == 0) return kGroupWidth;
+  return NeedsGrowth(live, 0, cap) ? cap * 2 : cap;
 }
 
 /// Splits a 64-bit hash for group probing: the home-group window and the
@@ -118,7 +144,8 @@ struct ScalarGroup {
     return {m, 0};
   }
 
-  /// Empty slots are the only control bytes with the sign bit set.
+  /// Free slots (empty or tombstoned) are the only control bytes with the
+  /// sign bit set.
   LaneMask MatchEmpty() const {
     uint64_t m = 0;
     for (uint32_t i = 0; i < kGroupWidth; ++i)
@@ -142,7 +169,7 @@ struct SseGroup {
   }
 
   LaneMask MatchEmpty() const {
-    // kCtrlEmpty is the only byte value with the sign bit set.
+    // Free slots (kCtrlEmpty, kCtrlDeleted) are the sign-bit bytes.
     return {static_cast<uint32_t>(_mm_movemask_epi8(v)), 0};
   }
 
@@ -179,7 +206,7 @@ using Group = NeonGroup;
 using Group = ScalarGroup;
 #endif
 
-/// First empty slot on the probe chain starting at group-aligned `g`
+/// First free slot on the probe chain starting at group-aligned `g`
 /// (insert/rehash path — the caller already knows the key is absent).
 inline size_t FindFirstEmpty(const int8_t* ctrl, size_t mask, size_t g) {
   while (true) {
@@ -188,9 +215,17 @@ inline size_t FindFirstEmpty(const int8_t* ctrl, size_t mask, size_t g) {
   }
 }
 
+/// Control byte an erase leaves at slot `i`: empty when `i`'s (aligned)
+/// group still holds an empty slot — no probe chain ever continued past
+/// that group — else a tombstone.
+inline int8_t ErasedCtrl(const int8_t* ctrl, size_t i) {
+  return Group(ctrl + (i & ~(kGroupWidth - 1))).Match(kCtrlEmpty) ? kCtrlEmpty
+                                                                 : kCtrlDeleted;
+}
+
 }  // namespace flat_internal
 
-/// Non-owning view over a posting list (row ids, ascending insertion order).
+/// Non-owning view over a posting list (row ids, ascending).
 struct RowIdSpan {
   const uint32_t* data = nullptr;
   size_t count = 0;
@@ -237,6 +272,39 @@ class PostingList {
     (spilled() ? storage_.heap : storage_.inline_ids)[size_++] = v;
   }
 
+  /// Inserts `v` at its ascending position (the list must be ascending).
+  void InsertSorted(uint32_t v) {
+    Append(v);
+    uint32_t* ids = data();
+    uint32_t* pos = std::upper_bound(ids, ids + size_ - 1, v);
+    std::move_backward(pos, ids + size_ - 1, ids + size_);
+    *pos = v;
+  }
+
+  /// Removes `v` (present) from the ascending list, keeping the order. A
+  /// spilled list gives memory back as it empties: it halves its block once
+  /// under 3/8 full (3/4 of the half, so it cannot thrash against Grow's
+  /// doubling) and moves back inline once it fits there.
+  void Erase(uint32_t v) {
+    uint32_t* ids = data();
+    uint32_t* pos = std::lower_bound(ids, ids + size_, v);
+    const bool present = pos != ids + size_ && *pos == v;
+    GS_DCHECK(present);
+    if (!present) return;
+    std::move(pos + 1, ids + size_, pos);
+    --size_;
+    if (!spilled()) return;
+    if (size_ <= kInlineCap) {
+      uint32_t kept[kInlineCap];  // the inline ids share storage with `heap`
+      std::memcpy(kept, ids, size_ * sizeof(uint32_t));
+      delete[] storage_.heap;
+      std::memcpy(storage_.inline_ids, kept, sizeof(kept));
+      cap_ = kInlineCap;
+    } else if (cap_ > 8 && size_ * 8 < cap_ * 3) {
+      Reallocate(cap_ / 2);
+    }
+  }
+
   RowIdSpan Span() const {
     return {spilled() ? storage_.heap : storage_.inline_ids, size_};
   }
@@ -249,12 +317,14 @@ class PostingList {
 
  private:
   bool spilled() const { return cap_ > kInlineCap; }
+  uint32_t* data() { return spilled() ? storage_.heap : storage_.inline_ids; }
 
-  void Grow() {
-    const uint32_t new_cap = cap_ < 8 ? 8 : cap_ * 2;
+  void Grow() { Reallocate(cap_ < 8 ? 8 : cap_ * 2); }
+
+  /// Moves the ids into a fresh heap block of `new_cap` (> kInlineCap) ids.
+  void Reallocate(uint32_t new_cap) {
     uint32_t* heap = new uint32_t[new_cap];
-    std::memcpy(heap, spilled() ? storage_.heap : storage_.inline_ids,
-                size_ * sizeof(uint32_t));
+    std::memcpy(heap, data(), size_ * sizeof(uint32_t));
     if (spilled()) delete[] storage_.heap;
     storage_.heap = heap;
     cap_ = new_cap;
@@ -270,7 +340,10 @@ class PostingList {
 
 /// Open-addressing map `VertexId -> PostingList`, the hash-join build table
 /// and maintained-index shape. Keys may be any VertexId including the
-/// `kNoVertex` sentinel (stored out of band).
+/// `kNoVertex` sentinel (stored out of band). Maintained indexes patch
+/// postings in place when their relation erases a row (`Remove` /
+/// `InsertSorted` keep every list ascending; a key whose list empties is
+/// erased).
 class FlatPostingMap {
  public:
   FlatPostingMap() = default;
@@ -285,6 +358,39 @@ class FlatPostingMap {
 
   void Add(VertexId key, uint32_t row) { GetOrCreate(key).Append(row); }
 
+  /// Inserts posting `row` at its ascending position in `key`'s list.
+  void InsertSorted(VertexId key, uint32_t row) { GetOrCreate(key).InsertSorted(row); }
+
+  /// Removes posting `row` (present) from `key`'s list, keeping the order;
+  /// a key whose list empties is erased and its posting storage freed.
+  void Remove(VertexId key, uint32_t row) {
+    if (key == kEmptyKey) {
+      GS_DCHECK(has_sentinel_);
+      if (!has_sentinel_) return;
+      sentinel_list_.Erase(row);
+      if (sentinel_list_.empty()) {
+        has_sentinel_ = false;
+        --num_keys_;
+      }
+      return;
+    }
+    const size_t i = FindSlot(key);
+    GS_DCHECK(i != kNoSlot);
+    if (i == kNoSlot) return;
+    lists_[i].Erase(row);
+    if (!lists_[i].empty()) return;
+    ctrl_[i] = flat_internal::ErasedCtrl(ctrl_.data(), i);
+    if (ctrl_[i] == flat_internal::kCtrlDeleted) ++num_deleted_;
+    --num_keys_;
+    // Shrink once the keys fill under 3/8 of the table: half the capacity
+    // then holds them at under 3/4 load, short of the 7/8 growth point, so
+    // a key count swinging around the threshold cannot thrash. An index
+    // over a shrinking view thereby stays near the size a rebuild would
+    // give it.
+    if (Capacity() > flat_internal::kGroupWidth && num_keys_ * 8 < Capacity() * 3)
+      Rehash(Capacity() / 2);
+  }
+
   PostingList& GetOrCreate(VertexId key) {
     if (key == kEmptyKey) {
       if (!has_sentinel_) {
@@ -296,7 +402,9 @@ class FlatPostingMap {
     const uint64_t h = Hash(key);
     const int8_t h2 = flat_internal::H2Low(h);
     // Probe before the growth check: hitting an existing key must neither
-    // rehash (slot pointers stay valid) nor pay a wasted table double.
+    // rehash (slot pointers stay valid) nor pay a wasted table double. The
+    // first free slot on the chain is remembered; only a truly empty slot
+    // proves the key absent.
     size_t insert_at = kNoSlot;
     if (!ctrl_.empty()) {
       size_t g = HomeGroup(h);
@@ -306,15 +414,19 @@ class FlatPostingMap {
           const size_t i = g + m.Lane();
           if (keys_[i] == key) return lists_[i];
         }
-        if (auto e = grp.MatchEmpty()) {
-          insert_at = g + e.Lane();
-          break;
+        if (insert_at == kNoSlot) {
+          if (auto f = grp.MatchEmpty()) insert_at = g + f.Lane();
         }
+        if (grp.Match(flat_internal::kCtrlEmpty)) break;
         g = (g + flat_internal::kGroupWidth) & mask_;
       }
     }
-    if (Capacity() == 0 || (num_keys_ + 1) * 8 > Capacity() * 7) {
-      Rehash(Capacity() == 0 ? flat_internal::kGroupWidth : Capacity() * 2);
+    const bool reuse =
+        insert_at != kNoSlot && ctrl_[insert_at] == flat_internal::kCtrlDeleted;
+    if (reuse) {
+      --num_deleted_;
+    } else if (flat_internal::NeedsGrowth(num_keys_, num_deleted_, Capacity())) {
+      Rehash(flat_internal::GrowthCapacity(num_keys_, Capacity()));
       insert_at = FindInsertSlot(h);
     }
     ctrl_[insert_at] = h2;
@@ -325,19 +437,8 @@ class FlatPostingMap {
 
   RowIdSpan Probe(VertexId key) const {
     if (key == kEmptyKey) return has_sentinel_ ? sentinel_list_.Span() : RowIdSpan{};
-    if (num_keys_ == 0 || ctrl_.empty()) return {};
-    const uint64_t h = Hash(key);
-    const int8_t h2 = flat_internal::H2Low(h);
-    size_t g = HomeGroup(h);
-    while (true) {
-      const flat_internal::Group grp(ctrl_.data() + g);
-      for (auto m = grp.Match(h2); m; m.Clear()) {
-        const size_t i = g + m.Lane();
-        if (keys_[i] == key) return lists_[i].Span();
-      }
-      if (grp.MatchEmpty()) return {};
-      g = (g + flat_internal::kGroupWidth) & mask_;
-    }
+    const size_t i = FindSlot(key);
+    return i == kNoSlot ? RowIdSpan{} : lists_[i].Span();
   }
 
   /// Number of distinct keys.
@@ -349,16 +450,20 @@ class FlatPostingMap {
     keys_.clear();
     lists_.clear();
     num_keys_ = 0;
+    num_deleted_ = 0;
     mask_ = 0;
     has_sentinel_ = false;
     sentinel_list_ = PostingList();
   }
 
+  /// Slots (capacity) of the table.
+  size_t Capacity() const { return ctrl_.size(); }
+
   /// `fn(VertexId, RowIdSpan)` over every key, table order.
   template <typename Fn>
   void ForEach(Fn fn) const {
     for (size_t i = 0; i < ctrl_.size(); ++i)
-      if (ctrl_[i] != flat_internal::kCtrlEmpty) fn(keys_[i], lists_[i].Span());
+      if (ctrl_[i] >= 0) fn(keys_[i], lists_[i].Span());
     if (has_sentinel_) fn(kEmptyKey, sentinel_list_.Span());
   }
 
@@ -387,9 +492,24 @@ class FlatPostingMap {
     return (static_cast<size_t>(h >> 32) & mask_) & ~(flat_internal::kGroupWidth - 1);
   }
 
-  size_t Capacity() const { return ctrl_.size(); }
+  /// Slot of `key` (not the sentinel), or kNoSlot.
+  size_t FindSlot(VertexId key) const {
+    if (num_keys_ == 0 || ctrl_.empty()) return kNoSlot;
+    const uint64_t h = Hash(key);
+    const int8_t h2 = flat_internal::H2Low(h);
+    size_t g = HomeGroup(h);
+    while (true) {
+      const flat_internal::Group grp(ctrl_.data() + g);
+      for (auto m = grp.Match(h2); m; m.Clear()) {
+        const size_t i = g + m.Lane();
+        if (keys_[i] == key) return i;
+      }
+      if (grp.Match(flat_internal::kCtrlEmpty)) return kNoSlot;
+      g = (g + flat_internal::kGroupWidth) & mask_;
+    }
+  }
 
-  /// First empty slot on `h`'s probe chain (rehash path: keys are distinct,
+  /// First free slot on `h`'s probe chain (rehash path: keys are distinct,
   /// so no match scan is needed).
   size_t FindInsertSlot(uint64_t h) const {
     return flat_internal::FindFirstEmpty(ctrl_.data(), mask_, HomeGroup(h));
@@ -404,8 +524,9 @@ class FlatPostingMap {
     lists_.clear();
     lists_.resize(new_cap);
     mask_ = new_cap - 1;
+    num_deleted_ = 0;  // tombstones are dropped, not migrated
     for (size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] == flat_internal::kCtrlEmpty) continue;
+      if (old_ctrl[i] < 0) continue;  // empty or tombstone
       const uint64_t h = Hash(old_keys[i]);
       const size_t j = FindInsertSlot(h);
       ctrl_[j] = flat_internal::H2Low(h);
@@ -418,6 +539,7 @@ class FlatPostingMap {
   std::vector<VertexId> keys_;      ///< Parallel to ctrl_; valid where full.
   std::vector<PostingList> lists_;  ///< Parallel to ctrl_.
   size_t num_keys_ = 0;
+  size_t num_deleted_ = 0;  ///< Tombstoned slots (count against load).
   size_t mask_ = 0;
   bool has_sentinel_ = false;
   PostingList sentinel_list_;  ///< Postings for the kNoVertex key itself.
@@ -430,6 +552,9 @@ class FlatPostingMap {
 /// fragment prefilters (1/128 false-candidate rate) and `eq` confirms on
 /// the relation's own row data; growth recomputes row hashes through the
 /// caller-supplied `hash_of` (rows are cheap to rehash — a handful of ids).
+/// Row indexes are unique, so `Erase`/`Repoint` locate an entry by its
+/// index along the row's hash chain — the in-place retraction moves the
+/// relation's last row into the erased one's slot and re-points its entry.
 class FlatRowSet {
  public:
   /// `hash_of(row_idx)` recomputes a stored row's hash (growth only).
@@ -445,8 +570,9 @@ class FlatRowSet {
   bool Insert(uint64_t hash, uint32_t idx, EqFn eq, HashFn hash_of) {
     const int8_t h2 = flat_internal::H2(hash);
     // Probe before the growth check: rejecting a duplicate row must not pay
-    // a wasted table double at the load threshold.
-    size_t insert_at = static_cast<size_t>(-1);
+    // a wasted table double at the load threshold. The first free slot on
+    // the chain is remembered; only a truly empty slot proves absence.
+    size_t insert_at = kNoSlot;
     if (!ctrl_.empty()) {
       size_t g = HomeGroup(hash);
       while (true) {
@@ -454,15 +580,19 @@ class FlatRowSet {
         for (auto m = grp.Match(h2); m; m.Clear()) {
           if (eq(rows_[g + m.Lane()])) return false;
         }
-        if (auto e = grp.MatchEmpty()) {
-          insert_at = g + e.Lane();
-          break;
+        if (insert_at == kNoSlot) {
+          if (auto f = grp.MatchEmpty()) insert_at = g + f.Lane();
         }
+        if (grp.Match(flat_internal::kCtrlEmpty)) break;
         g = (g + flat_internal::kGroupWidth) & mask_;
       }
     }
-    if (ctrl_.empty() || (size_ + 1) * 8 > ctrl_.size() * 7) {
-      Rehash(ctrl_.empty() ? flat_internal::kGroupWidth : ctrl_.size() * 2, hash_of);
+    const bool reuse =
+        insert_at != kNoSlot && ctrl_[insert_at] == flat_internal::kCtrlDeleted;
+    if (reuse) {
+      --num_deleted_;
+    } else if (flat_internal::NeedsGrowth(size_, num_deleted_, ctrl_.size())) {
+      Rehash(flat_internal::GrowthCapacity(size_, ctrl_.size()), hash_of);
       insert_at = flat_internal::FindFirstEmpty(ctrl_.data(), mask_, HomeGroup(hash));
     }
     ctrl_[insert_at] = h2;
@@ -471,11 +601,37 @@ class FlatRowSet {
     return true;
   }
 
+  /// Row index of the entry equal per `eq`, or `kNotFound`.
+  template <typename EqFn>
+  uint32_t Find(uint64_t hash, EqFn eq) const {
+    const size_t i = SlotWhere(hash, eq);
+    return i == kNoSlot ? kNotFound : rows_[i];
+  }
+
+  /// Erases the entry of row `idx` (present; `hash` is that row's hash).
+  void Erase(uint64_t hash, uint32_t idx) {
+    const size_t i = SlotWhere(hash, [idx](uint32_t r) { return r == idx; });
+    GS_DCHECK(i != kNoSlot);
+    if (i == kNoSlot) return;
+    ctrl_[i] = flat_internal::ErasedCtrl(ctrl_.data(), i);
+    if (ctrl_[i] == flat_internal::kCtrlDeleted) ++num_deleted_;
+    --size_;
+  }
+
+  /// Re-points the entry of row `from` (present; `hash` is that row's
+  /// hash) to row index `to` — the row moved, its contents did not change.
+  void Repoint(uint64_t hash, uint32_t from, uint32_t to) {
+    const size_t i = SlotWhere(hash, [from](uint32_t r) { return r == from; });
+    GS_DCHECK(i != kNoSlot);
+    if (i != kNoSlot) rows_[i] = to;
+  }
+
   size_t size() const { return size_; }
 
   void Clear() {
     std::fill(ctrl_.begin(), ctrl_.end(), flat_internal::kCtrlEmpty);
     size_ = 0;
+    num_deleted_ = 0;
   }
 
   size_t MemoryBytes() const {
@@ -483,9 +639,30 @@ class FlatRowSet {
            rows_.capacity() * sizeof(uint32_t);
   }
 
+  static constexpr uint32_t kNotFound = static_cast<uint32_t>(-1);
+
  private:
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
   size_t HomeGroup(uint64_t h) const {
     return (static_cast<size_t>(h) & mask_) & ~(flat_internal::kGroupWidth - 1);
+  }
+
+  /// Slot along `hash`'s chain whose row index satisfies `pred`, or
+  /// kNoSlot.
+  template <typename Pred>
+  size_t SlotWhere(uint64_t hash, Pred pred) const {
+    if (size_ == 0) return kNoSlot;
+    const int8_t h2 = flat_internal::H2(hash);
+    size_t g = HomeGroup(hash);
+    while (true) {
+      const flat_internal::Group grp(ctrl_.data() + g);
+      for (auto m = grp.Match(h2); m; m.Clear()) {
+        if (pred(rows_[g + m.Lane()])) return g + m.Lane();
+      }
+      if (grp.Match(flat_internal::kCtrlEmpty)) return kNoSlot;
+      g = (g + flat_internal::kGroupWidth) & mask_;
+    }
   }
 
   template <typename HashFn>
@@ -495,8 +672,9 @@ class FlatRowSet {
     ctrl_.assign(new_cap, flat_internal::kCtrlEmpty);
     rows_.resize(new_cap);
     mask_ = new_cap - 1;
+    num_deleted_ = 0;  // tombstones are dropped, not migrated
     for (size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] == flat_internal::kCtrlEmpty) continue;
+      if (old_ctrl[i] < 0) continue;  // empty or tombstone
       const size_t j = flat_internal::FindFirstEmpty(
           ctrl_.data(), mask_, HomeGroup(hash_of(old_rows[i])));
       ctrl_[j] = old_ctrl[i];
@@ -504,9 +682,10 @@ class FlatRowSet {
     }
   }
 
-  std::vector<int8_t> ctrl_;    ///< kCtrlEmpty | H2 fragment, per slot.
+  std::vector<int8_t> ctrl_;    ///< kCtrlEmpty | kCtrlDeleted | H2, per slot.
   std::vector<uint32_t> rows_;  ///< Parallel: row index in the relation.
-  size_t size_ = 0;
+  uint32_t size_ = 0;           ///< Row indexes are 32-bit, so counts are too.
+  uint32_t num_deleted_ = 0;    ///< Tombstoned slots (count against load).
   size_t mask_ = 0;
 };
 

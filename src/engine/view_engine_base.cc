@@ -106,13 +106,22 @@ void ViewEngineBase::AppendToBaseViews(const EdgeUpdate& u, WindowContext* ctx) 
   }
 }
 
+void ViewEngineBase::EraseViewRow(Relation* rel, const VertexId* row) {
+  const size_t i = rel->Find(row);
+  // A live edge sits in every base view it matches, and a retraction only
+  // erases rows it derived from the pre-delete views.
+  GS_DCHECK(i != Relation::kNoRow);
+  if (i == Relation::kNoRow) return;
+  OnRowErase(rel, i);
+  rel->Erase(i);
+}
+
 bool ViewEngineBase::RemoveFromBaseViews(const EdgeUpdate& u) {
   if (seen_edges_.erase(u) == 0) return false;
+  const VertexId row[2] = {u.src, u.dst};
   for (const auto& g : Generalizations(u)) {
     auto it = base_views_.find(g);
-    if (it == base_views_.end()) continue;
-    it->second->RemoveRowsWhere(
-        [&](const VertexId* row) { return row[0] == u.src && row[1] == u.dst; });
+    if (it != base_views_.end()) EraseViewRow(it->second.get(), row);
   }
   return true;
 }

@@ -441,6 +441,20 @@ class ViewEngineBase : public ContinuousEngine {
   /// owning a JoinCache evict its indexes here. Default: nothing.
   virtual void OnRelationEvicted(const Relation* rel) { (void)rel; }
 
+  /// Hook: row `row` of `rel` (a shared base or prefix view) is about to be
+  /// erased in place by EraseViewRow — the last row moves into its slot.
+  /// Engines owning a JoinCache patch its indexes over `rel` here
+  /// (JoinCache::PatchErase), so deletions never force an index rebuild.
+  /// Default: nothing.
+  virtual void OnRowErase(const Relation* rel, size_t row) {
+    (void)rel;
+    (void)row;
+  }
+
+  /// Erases the row equal to `row` (present) from `rel` in place,
+  /// announcing it through OnRowErase first.
+  void EraseViewRow(Relation* rel, const VertexId* row);
+
   /// Releases tombstoned/slack capacity of the shared routing structures
   /// after a removal (pattern-id table today). Engines call it at the end
   /// of RemoveQueryImpl, after compacting their own indexes.
@@ -452,8 +466,9 @@ class ViewEngineBase : public ContinuousEngine {
   /// appended rows carry the right window tags.
   void AppendToBaseViews(const EdgeUpdate& u, WindowContext* ctx = nullptr);
 
-  /// Retracts `u`'s tuple from every matching base view and forgets the
-  /// edge (paper §4.3 deletions). Returns false when the edge was absent.
+  /// Retracts `u`'s tuple from every matching base view — one in-place
+  /// row erase each — and forgets the edge (paper §4.3 deletions). Returns
+  /// false when the edge was absent.
   bool RemoveFromBaseViews(const EdgeUpdate& u);
 
   /// Returns true (and remembers the edge) when `u` was already applied.

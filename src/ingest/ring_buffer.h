@@ -101,13 +101,15 @@ class BoundedBatchRing {
 
   /// Timed Pop for consumers with periodic duties (the socket server's apply
   /// thread interleaves control ops and window-flush deadlines with popping):
-  /// kGot with a batch, kTimeout when the wait expired with producers still
-  /// active, kDone when drained-and-finished or aborted.
+  /// kGot with a batch, kTimeout when the wait expired — or was cut short by
+  /// Wake — with producers still active, kDone when drained-and-finished or
+  /// aborted. Every return consumes a pending Wake.
   PopStatus PopFor(RecordBatch& out, int timeout_millis) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_millis), [&] {
-      return !queue_.empty() || producers_active_ == 0 || aborted_;
+      return !queue_.empty() || producers_active_ == 0 || aborted_ || woken_;
     });
+    woken_ = false;
     if (aborted_) return PopStatus::kDone;
     if (!queue_.empty()) {
       out = std::move(queue_.front());
@@ -116,6 +118,16 @@ class BoundedBatchRing {
       return PopStatus::kGot;
     }
     return producers_active_ == 0 ? PopStatus::kDone : PopStatus::kTimeout;
+  }
+
+  /// Makes the consumer's PopFor return now (kTimeout unless a batch is
+  /// ready) so it can attend to other work — the server posts a control op,
+  /// then wakes the apply thread. Sticky: a Wake that lands before the
+  /// PopFor cuts that PopFor short.
+  void Wake() {
+    std::lock_guard<std::mutex> lock(mu_);
+    woken_ = true;
+    not_empty_.notify_all();
   }
 
   /// If record-block `seq` was shed, removes the note and returns its record
@@ -166,6 +178,7 @@ class BoundedBatchRing {
   std::unordered_map<uint64_t, size_t> shed_;  ///< seq -> shed record count.
   size_t producers_active_ = 0;
   bool aborted_ = false;
+  bool woken_ = false;  ///< A Wake no PopFor has consumed yet.
   Stats stats_;
 };
 

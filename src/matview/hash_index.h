@@ -12,13 +12,15 @@ namespace gstream {
 /// Equi-join hash index over one column of a relation: the build-phase hash
 /// table of the paper's hash joins (§4.2 "Caching"). Base algorithms build
 /// such tables transiently and discard them after each join; the "+"
-/// variants keep them in a `JoinCache` and maintain them incrementally
-/// (`CatchUp()` indexes only rows appended since the last call — relations
-/// are insert-only, so this is sound).
+/// variants keep them in a `JoinCache` and maintain them incrementally:
+/// `CatchUp()` indexes the rows appended since the last call, and
+/// `PatchErase` follows an in-place retraction (Relation::Erase) by editing
+/// only the postings of the erased and the moved row.
 ///
 /// Postings live in a flat open-addressing map with small-buffer posting
 /// lists (see flat_map.h); `Probe` returns a non-owning span whose row ids
-/// are in ascending order (rows are indexed in append order).
+/// are in ascending order (appends index in row order, patches insert at
+/// the sorted position) — ExtendRightSingle and JoinConcat binary-search it.
 class HashIndex {
  public:
   /// With `build` (default) the constructor indexes the relation's current
@@ -26,11 +28,18 @@ class HashIndex {
   /// allocate entries inside its lock and index outside it.
   HashIndex(const Relation* rel, uint32_t col, bool build = true);
 
-  /// Indexes rows appended since construction / the previous CatchUp. When
-  /// the relation has seen a retraction since (its `generation()` moved),
-  /// the index is rebuilt from scratch — row indexes are only stable within
-  /// a generation.
+  /// Indexes rows appended since construction / the previous CatchUp. The
+  /// index is rebuilt from scratch when the relation was cleared (its
+  /// `generation()` moved) or erased a row this index did not patch (its
+  /// `erasures()` ran ahead) — the safety net for indexes no engine hook
+  /// reaches.
   void CatchUp();
+
+  /// Call right before `relation()->Erase(row)`: drops `row`'s posting and
+  /// moves the last row's posting to `row`, so the index stays current
+  /// across the erase without a rebuild. Rows not indexed yet stay for the
+  /// next CatchUp. A stale index (one CatchUp would rebuild) is left alone.
+  void PatchErase(size_t row);
 
   /// Row indexes whose `col` equals `key` (among indexed rows), ascending.
   /// The span is invalidated by the next CatchUp.
@@ -48,6 +57,7 @@ class HashIndex {
   uint32_t col_;
   size_t indexed_ = 0;
   uint64_t generation_ = 0;
+  uint64_t erasures_ = 0;  ///< The relation's erasures() this index follows.
   FlatPostingMap map_;
 };
 

@@ -30,6 +30,14 @@ void JoinCache::Evict(const Relation* rel) {
   for (const Key& key : doomed) cache_.Erase(key);
 }
 
+void JoinCache::PatchErase(const Relation* rel, size_t row) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t col = 0; col < rel->arity(); ++col) {
+    std::unique_ptr<HashIndex>* index = cache_.Find(Key{rel, col});
+    if (index != nullptr) (*index)->PatchErase(row);
+  }
+}
+
 size_t JoinCache::MemoryBytes() const {
   size_t bytes = sizeof(*this) + cache_.MemoryBytes();
   cache_.ForEach([&](const Key&, const std::unique_ptr<HashIndex>& index) {

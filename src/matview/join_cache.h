@@ -40,10 +40,10 @@ class JoinIndexSource {
 
 /// The "+" extension (paper §4.2 "Caching"): instead of discarding the hash
 /// tables built during each join, keep them keyed by (relation, column) and
-/// maintain them incrementally as the underlying views grow. TRIC+, INV+ and
-/// INC+ own one JoinCache; the base algorithms pass null indexes and rebuild
-/// per join. The cache itself is a flat open-addressing map — `Get` sits on
-/// the per-update hot path of every "+" engine.
+/// maintain them incrementally as the underlying views grow and shrink.
+/// TRIC+, INV+ and INC+ own one JoinCache; the base algorithms pass null
+/// indexes and rebuild per join. The cache itself is a flat open-addressing
+/// map — `Get` sits on the per-update hot path of every "+" engine.
 class JoinCache : public JoinIndexSource {
  public:
   /// Returns a maintained index over `rel` column `col`, creating it on first
@@ -65,6 +65,11 @@ class JoinCache : public JoinIndexSource {
   /// the cache dangles into freed relation storage. Call before the
   /// relation is destroyed; finish the removal batch with `Compact()`.
   void Evict(const Relation* rel);
+
+  /// Call right before `rel->Erase(row)`: patches every cached index over
+  /// `rel` (HashIndex::PatchErase) so none of them rebuilds after the
+  /// erase. Coordinator-only (deletions are batch barriers).
+  void PatchErase(const Relation* rel, size_t row);
 
   /// Releases tombstoned capacity after an eviction wave (one rehash, so
   /// callers batch evictions and compact once).

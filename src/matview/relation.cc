@@ -15,6 +15,7 @@ Relation::Relation(Relation&& other) noexcept
       prov_enabled_(other.prov_enabled_),
       num_rows_(other.num_rows_),
       generation_(other.generation_),
+      erasures_(other.erasures_),
       data_(std::move(other.data_)),
       prov_(std::move(other.prov_)),
       row_set_(std::move(other.row_set_)) {
@@ -83,39 +84,28 @@ size_t Relation::AppendAll(const Relation& other) {
   return inserted;
 }
 
-void Relation::RebuildSet() {
-  const auto hash_of = [&](uint32_t existing) {
-    return HashIds(Row(existing), arity_);
-  };
-  row_set_.Clear();
-  row_set_.Reserve(num_rows_, hash_of);
-  for (uint32_t i = 0; i < num_rows_; ++i) {
-    const VertexId* row = Row(i);
-    row_set_.Insert(
-        HashIds(row, arity_), i,
-        [&](uint32_t existing) { return RowEquals(Row(existing), row); }, hash_of);
-  }
+size_t Relation::Find(const VertexId* row) const {
+  const uint32_t idx = row_set_.Find(
+      HashIds(row, arity_),
+      [&](uint32_t existing) { return RowEquals(Row(existing), row); });
+  return idx == FlatRowSet::kNotFound ? kNoRow : idx;
 }
 
-size_t Relation::RemoveRowsWhere(const std::function<bool(const VertexId*)>& pred) {
-  size_t kept = 0;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    const VertexId* row = Row(i);
-    if (pred(row)) continue;
-    if (kept != i) {
-      std::copy(row, row + arity_, data_.begin() + kept * arity_);
-      if (prov_enabled_) prov_[kept] = prov_[i];
-    }
-    ++kept;
+void Relation::Erase(size_t i) {
+  GS_DCHECK(i < num_rows_);
+  const size_t last = num_rows_ - 1;
+  row_set_.Erase(HashIds(Row(i), arity_), static_cast<uint32_t>(i));
+  if (i != last) {
+    const VertexId* moved = Row(last);
+    row_set_.Repoint(HashIds(moved, arity_), static_cast<uint32_t>(last),
+                     static_cast<uint32_t>(i));
+    std::copy(moved, moved + arity_, data_.begin() + i * arity_);
+    if (prov_enabled_) prov_[i] = prov_[last];
   }
-  const size_t removed = num_rows_ - kept;
-  if (removed == 0) return 0;
-  data_.resize(kept * arity_);
-  if (prov_enabled_) prov_.resize(kept);
-  num_rows_ = kept;
-  ++generation_;
-  RebuildSet();
-  return removed;
+  data_.resize(last * arity_);
+  if (prov_enabled_) prov_.pop_back();
+  num_rows_ = last;
+  ++erasures_;
 }
 
 void Relation::Clear() {

@@ -2,7 +2,6 @@
 #define GSTREAM_MATVIEW_RELATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -15,10 +14,14 @@ namespace gstream {
 /// semantics (paper §4.1 "Materialization": matV[e] stores all updates that
 /// match e; path views store the join results along a covering path).
 ///
-/// Rows are append-only and duplicate rows are rejected, which is what makes
-/// the delta-based answering phase exact (every derivation of a tuple may be
-/// attempted; only the first lands). Insert-only lets `NumRows()` double as a
-/// monotone version for incremental hash-index maintenance.
+/// Duplicate rows are rejected, which is what makes the delta-based
+/// answering phase exact (every derivation of a tuple may be attempted; only
+/// the first lands). Rows are appended at the end and retracted in place
+/// (paper §4.3 deletions): `Erase(i)` moves the last row into slot `i`, so a
+/// retraction costs the rows it removes, and every row but the moved one
+/// keeps its index. Maintained hash indexes follow an erase through
+/// `HashIndex::PatchErase`; `erasures()` tells an index that missed one to
+/// rebuild.
 ///
 /// Storage is columnar-flat: one contiguous id buffer plus a flat
 /// open-addressing dedup set (hash + row index, no per-row nodes), so appends
@@ -72,19 +75,28 @@ class Relation {
   /// of rows actually inserted.
   size_t AppendAll(const Relation& other);
 
-  /// Retraction support (paper §4.3: edge deletions remove the affected
-  /// tuples from the materialized views). Removes every row for which
-  /// `pred(row_pointer)` is true, compacting storage and rebuilding the
-  /// dedup set. Returns the number of rows removed; bumps `generation()`
-  /// when anything changed, which tells dependent hash indexes to rebuild.
-  size_t RemoveRowsWhere(const std::function<bool(const VertexId*)>& pred);
+  /// Index of the row equal to `row` (arity() ids), or `kNoRow`.
+  size_t Find(const VertexId* row) const;
+
+  /// Retraction (paper §4.3: edge deletions remove the affected tuples from
+  /// the materialized views): erases row `i` in place. The last row moves
+  /// into slot `i` (its dedup entry is re-pointed, the erased row's entry
+  /// freed), so only the moved row changes index. Bumps `erasures()`.
+  void Erase(size_t i);
 
   /// Drops all rows (bumps `generation()` when non-empty).
   void Clear();
 
-  /// Incremented by every retraction; row indexes are only stable within a
-  /// generation.
+  /// Incremented by every non-empty Clear: row indexes of different
+  /// generations are unrelated.
   uint64_t generation() const { return generation_; }
+
+  /// Number of `Erase` calls so far. A maintained index that has patched
+  /// itself through every erase (HashIndex::PatchErase) is current; one
+  /// whose count lags rebuilds.
+  uint64_t erasures() const { return erasures_; }
+
+  static constexpr size_t kNoRow = static_cast<size_t>(-1);
 
   uint32_t arity() const { return arity_; }
   size_t NumRows() const { return num_rows_; }
@@ -93,9 +105,6 @@ class Relation {
   /// Pointer to the first id of row `i`.
   const VertexId* Row(size_t i) const { return data_.data() + i * arity_; }
   VertexId At(size_t row, uint32_t col) const { return data_[row * arity_ + col]; }
-
-  /// Monotone version counter (== NumRows()).
-  uint64_t version() const { return num_rows_; }
 
   /// Approximate heap footprint in bytes.
   size_t MemoryBytes() const;
@@ -107,13 +116,11 @@ class Relation {
     return true;
   }
 
-  /// Rebuilds the dedup set from the stored rows.
-  void RebuildSet();
-
   uint32_t arity_;
   bool prov_enabled_ = false;
   size_t num_rows_ = 0;
   uint64_t generation_ = 0;
+  uint64_t erasures_ = 0;
   std::vector<VertexId> data_;
   std::vector<uint32_t> prov_;  ///< One tag per row when prov_enabled_.
   FlatRowSet row_set_;

@@ -170,7 +170,7 @@ bool Client::HandshakeOnce(std::string* error) {
       sm.sub_id = sub_id;
       sm.pattern = pattern;
       const std::vector<uint8_t> frame = EncodeSubscribe(sm);
-      if (!SendAll(fd, frame.data(), frame.size())) {
+      if (!WriteLocked(fd, frame.data(), frame.size())) {
         CloseFd(fd);
         *error = "handshake: resubscribe write failed";
         return false;
@@ -198,6 +198,8 @@ bool Client::HandshakeOnce(std::string* error) {
       acked_ = std::max(acked_, ack.producer_acked);
     ++stats_.connects;
     if (stats_.connects > 1) ++stats_.reconnects;
+    // The handshake just wrote the Hello (and any resubscribes).
+    last_write_ns_.store(Clock::now().time_since_epoch().count());
     reader_ = std::thread(&Client::ReaderLoop, this, fd, epoch_);
     cv_.notify_all();
   }
@@ -215,7 +217,7 @@ bool Client::FlushHeldFaults() {
   std::lock_guard<std::mutex> wlock(write_mu_);
   const ingest::WireFaultInjector::Action action = injector_->Flush();
   for (const std::vector<uint8_t>& chunk : action.chunks) {
-    if (!SendAll(fd, chunk.data(), chunk.size())) {
+    if (!WriteLocked(fd, chunk.data(), chunk.size())) {
       std::lock_guard<std::mutex> lock(mu_);
       connected_ = false;
       return false;
@@ -238,7 +240,7 @@ bool Client::SendFrame(const std::vector<uint8_t>& frame, bool with_faults) {
       ::usleep(static_cast<useconds_t>(action.delay_micros));
     bool ok = true;
     for (const std::vector<uint8_t>& chunk : action.chunks) {
-      if (!SendAll(fd, chunk.data(), chunk.size())) {
+      if (!WriteLocked(fd, chunk.data(), chunk.size())) {
         ok = false;
         break;
       }
@@ -256,12 +258,17 @@ bool Client::SendFrame(const std::vector<uint8_t>& frame, bool with_faults) {
     }
     return ok;
   }
-  if (!SendAll(fd, frame.data(), frame.size())) {
+  if (!WriteLocked(fd, frame.data(), frame.size())) {
     std::lock_guard<std::mutex> lock(mu_);
     connected_ = false;
     return false;
   }
   return true;
+}
+
+bool Client::WriteLocked(int fd, const uint8_t* data, size_t size) {
+  last_write_ns_.store(Clock::now().time_since_epoch().count());
+  return SendAll(fd, data, size);
 }
 
 bool Client::SendPending(std::string* error) {
@@ -401,6 +408,7 @@ bool Client::WaitApplied(uint64_t target_records, std::string* error) {
 
 void Client::ReaderLoop(int fd, uint64_t epoch) {
   int idle_millis = 0;
+  const Clock::duration beat = std::chrono::milliseconds(opts_.heartbeat_millis);
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -415,19 +423,29 @@ void Client::ReaderLoop(int fd, uint64_t epoch) {
         DropConnection(epoch);
         return;
       }
-      const std::vector<uint8_t> hb = EncodeHeartbeat();
-      std::lock_guard<std::mutex> wlock(write_mu_);
-      if (!SendAll(fd, hb.data(), hb.size())) {
-        DropConnection(epoch);
-        return;
-      }
-      continue;
-    }
-    if (st != ReadStatus::kOk) {
+    } else if (st != ReadStatus::kOk) {
       DropConnection(epoch);
       return;
+    } else {
+      idle_millis = 0;
     }
-    idle_millis = 0;
+    // The server reaps a connection that sends nothing for its idle timeout,
+    // so liveness is owed whatever was read: a subscriber receiving frames
+    // faster than heartbeat_millis never sees a read time out, yet may have
+    // nothing else to send. A writer holding write_mu_ is already sending;
+    // the reader never waits for it, so it keeps draining server frames.
+    const Clock::time_point last_write(Clock::duration(last_write_ns_.load()));
+    if (Clock::now() - last_write >= beat) {
+      std::unique_lock<std::mutex> wlock(write_mu_, std::try_to_lock);
+      if (wlock.owns_lock()) {
+        const std::vector<uint8_t> hb = EncodeHeartbeat();
+        if (!WriteLocked(fd, hb.data(), hb.size())) {
+          DropConnection(epoch);
+          return;
+        }
+      }
+    }
+    if (st == ReadStatus::kTimeout) continue;
     switch (f.type) {
       case FrameType::kNotify: {
         NotifyMsg m;

@@ -27,9 +27,10 @@ struct ClientOptions {
   std::string name = "client";
 
   int connect_timeout_millis = 2000;
-  /// Reads poll at heartbeat granularity; a timed-out read sends a
-  /// heartbeat, and idle_timeout_millis of total silence from the server
-  /// counts as a dead connection.
+  /// Reads poll at heartbeat granularity; the reader sends a heartbeat
+  /// whenever nothing was written for heartbeat_millis (whatever it read),
+  /// and idle_timeout_millis of total silence from the server counts as a
+  /// dead connection.
   int heartbeat_millis = 500;
   int idle_timeout_millis = 10000;
   /// How long a synchronous call (Subscribe, WaitApplied) waits.
@@ -129,6 +130,8 @@ class Client {
   /// send pass ends (reordering delays frames, it never drops them).
   bool FlushHeldFaults();
   void ReaderLoop(int fd, uint64_t epoch);
+  /// SendAll for callers holding write_mu_; stamps last_write_ns_.
+  bool WriteLocked(int fd, const uint8_t* data, size_t size);
   void DropConnection(uint64_t epoch);
 
   ClientOptions opts_;
@@ -143,6 +146,9 @@ class Client {
   std::unique_ptr<ingest::WireFaultInjector> injector_;
 
   std::mutex write_mu_;  ///< Serializes socket writes (caller + heartbeats).
+  /// Steady-clock time of the latest write (ticks since the clock's epoch):
+  /// the reader sends a heartbeat once it is heartbeat_millis old.
+  std::atomic<int64_t> last_write_ns_{0};
 
   mutable std::mutex mu_;  ///< Connection + progress state, cv-signalled.
   std::condition_variable cv_;

@@ -872,8 +872,13 @@ void Server::HardClose(Conn& c) {
 // --------------------------------------------------------------- apply side
 
 void Server::PostOp(ControlOp&& op) {
-  std::lock_guard<std::mutex> lock(ops_mu_);
-  ops_.push_back(std::move(op));
+  {
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    ops_.push_back(std::move(op));
+  }
+  // The apply thread picks ops up between pops; cut its wait short so a
+  // Subscribe round trip does not cost a poll tick.
+  ring_->Wake();
 }
 
 void Server::ProcessControlOps() {

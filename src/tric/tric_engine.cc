@@ -1,7 +1,6 @@
 #include "tric/tric_engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/mem_tracker.h"
@@ -106,6 +105,10 @@ void TricEngine::RemoveQueryImpl(QueryId qid) {
 
 void TricEngine::OnRelationEvicted(const Relation* rel) {
   if (cache_ != nullptr) cache_->Evict(rel);
+}
+
+void TricEngine::OnRowErase(const Relation* rel, size_t row) {
+  if (cache_ != nullptr) cache_->PatchErase(rel, row);
 }
 
 void TricEngine::InitNodeView(TrieNode* node) {
@@ -222,8 +225,7 @@ const std::vector<uint32_t>& TricEngine::PathSchema(const PathInfo& info) const 
 UpdateResult TricEngine::ApplyUpdate(const EdgeUpdate& u) {
   UpdateResult result;
   if (u.op == UpdateOp::kDelete) {
-    result.changed = RemoveFromBaseViews(u);
-    if (result.changed) HandleDelete(u);
+    result.changed = HandleDelete(u);
     return result;
   }
   if (IsDuplicateUpdate(u)) return result;
@@ -246,21 +248,7 @@ bool TricEngine::RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds,
   AppendToBaseViews(u);
 
   std::vector<TrieNode*> matching;
-  if (route_enabled()) {
-    // Class-mask-gated probing: only the endpoint generalizations some
-    // registered pattern actually uses are looked up (deduplicated).
-    forest_.RouteNodes(u, matching);
-  } else {
-    for (const auto& g : Generalizations(u)) {
-      const std::vector<TrieNode*>* nodes = forest_.NodesFor(g);
-      if (nodes != nullptr)
-        matching.insert(matching.end(), nodes->begin(), nodes->end());
-    }
-  }
-  std::sort(matching.begin(), matching.end(), [](const TrieNode* a, const TrieNode* b) {
-    return a->depth != b->depth ? a->depth < b->depth : a->seq < b->seq;
-  });
-
+  MatchingNodes(u, matching);
   for (TrieNode* node : matching) {
     if (BudgetExceeded()) {
       result.timed_out = true;
@@ -269,6 +257,22 @@ bool TricEngine::RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds,
     ProcessMatchingNode(node, u, ds);
   }
   return true;
+}
+
+void TricEngine::MatchingNodes(const EdgeUpdate& u, std::vector<TrieNode*>& out) const {
+  if (route_enabled()) {
+    // Class-mask-gated probing: only the endpoint generalizations some
+    // registered pattern actually uses are looked up (deduplicated).
+    forest_.RouteNodes(u, out);
+  } else {
+    for (const auto& g : Generalizations(u)) {
+      const std::vector<TrieNode*>* nodes = forest_.NodesFor(g);
+      if (nodes != nullptr) out.insert(out.end(), nodes->begin(), nodes->end());
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const TrieNode* a, const TrieNode* b) {
+    return a->depth != b->depth ? a->depth < b->depth : a->seq < b->seq;
+  });
 }
 
 UpdateResult TricEngine::ProcessInsert(const EdgeUpdate& u) {
@@ -698,49 +702,79 @@ void TricEngine::FinalizeWindowRouted(TricWindowContext& wctx,
   }
 }
 
-void TricEngine::HandleDelete(const EdgeUpdate& u) {
-  // Locate the affected tries: every trie containing a node whose pattern
-  // matches the deleted edge.
-  std::unordered_set<TrieNode*> roots;
-  for (const auto& g : Generalizations(u)) {
-    const std::vector<TrieNode*>* nodes = forest_.NodesFor(g);
-    if (nodes == nullptr) continue;
-    for (TrieNode* n : *nodes) {
-      while (n->parent != nullptr) n = n->parent;
-      roots.insert(n);
-    }
+Relation& TricEngine::Retraction::RowsOf(TrieNode* node) {
+  Relation*& rows = by_node[node];
+  if (rows == nullptr) {
+    doomed.emplace_back(node, std::make_unique<Relation>(node->view->arity()));
+    rows = doomed.back().second.get();
   }
-  std::vector<uint32_t> depths;
-  for (TrieNode* root : roots) {
-    depths.clear();
-    DeleteCascade(root, u, depths);
-  }
+  return *rows;
+}
 
-  // Cyclic paths keep a filtered projection of their terminal view; those
-  // shrank, so rebuild them lazily from scratch.
-  for (auto& [qid, entry] : queries_) {
-    for (PathInfo& info : entry.paths) {
+bool TricEngine::HandleDelete(const EdgeUpdate& u) {
+  if (seen_edges_.count(u) == 0) return false;
+
+  // Collect every doomed row against the pre-delete state: repeated-label
+  // chains match one edge at several depths, and each depth's rows are
+  // found through its parent's rows, which must all still be present.
+  Retraction retraction;
+  std::vector<TrieNode*> matching;
+  MatchingNodes(u, matching);
+  for (TrieNode* node : matching) RetractMatchingNode(node, u, retraction);
+
+  RemoveFromBaseViews(u);
+  for (const auto& [node, rows] : retraction.doomed) {
+    if (rows->Empty()) continue;
+    for (size_t r = 0; r < rows->NumRows(); ++r)
+      EraseViewRow(node->view.get(), rows->Row(r));
+    // A cyclic path's filtered projection mirrors its terminal view by row
+    // index, and the erase moved rows: rebuild it lazily from scratch.
+    for (const PathRef& ref : node->paths) {
+      PathInfo& info = queries_.at(ref.qid).paths[ref.path_idx];
       if (info.filtered != nullptr && info.filtered_upto > 0) {
         info.filtered->Clear();
         info.filtered_upto = 0;
       }
     }
   }
+  return true;
 }
 
-void TricEngine::DeleteCascade(TrieNode* node, const EdgeUpdate& u,
-                               std::vector<uint32_t>& depths) {
-  const bool mine = node->pattern.Matches(u);
-  if (mine) depths.push_back(node->depth);
-  if (!depths.empty() && !node->view->Empty()) {
-    node->view->RemoveRowsWhere([&](const VertexId* row) {
-      for (uint32_t d : depths)
-        if (row[d] == u.src && row[d + 1] == u.dst) return true;
-      return false;
-    });
+void TricEngine::RetractMatchingNode(TrieNode* node, const EdgeUpdate& u,
+                                     Retraction& retraction) {
+  // The insert path's join, aimed at the doomed rows: the rows holding the
+  // edge at this node's depth are the parent rows ending in `src`, extended
+  // by `dst` (TRIC+ probes the parent's maintained tail-column index).
+  Relation& rows = retraction.RowsOf(node);
+  const size_t before = rows.NumRows();
+  if (node->parent == nullptr) {
+    const VertexId row[2] = {u.src, u.dst};
+    rows.Append(row);
+  } else {
+    Relation* pview = node->parent->view.get();
+    ExtendRightSingle(AllRows(*pview), u.src, u.dst,
+                      JoinIndexFor(pview, pview->arity() - 1), rows);
   }
-  for (const auto& child : node->children) DeleteCascade(child.get(), u, depths);
-  if (mine) depths.pop_back();
+  RetractCascade(node, before, retraction);
+}
+
+void TricEngine::RetractCascade(TrieNode* node, size_t lo, Retraction& retraction) {
+  // Rows [lo, end) are newly doomed at `node` (a row doomed twice cascades
+  // once); their descendants are their extensions through each child's base
+  // view — the insert cascade's join, probing the base's column-0 index.
+  const Relation& rows = retraction.RowsOf(node);
+  const RowRange doomed{&rows, lo, rows.NumRows()};
+  if (doomed.empty()) return;
+  for (const auto& child_ptr : node->children) {
+    TrieNode* child = child_ptr.get();
+    Relation* base = FindBaseView(child->pattern);
+    GS_DCHECK(base != nullptr);
+    if (base->Empty()) continue;
+    Relation& child_rows = retraction.RowsOf(child);
+    const size_t before = child_rows.NumRows();
+    ExtendRight(doomed, *base, JoinIndexFor(base, 0), child_rows);
+    RetractCascade(child, before, retraction);
+  }
 }
 
 void TricEngine::BuildPatternReach() {

@@ -82,6 +82,10 @@ class TricEngine : public ViewEngineBase {
   /// cached indexes over it.
   void OnRelationEvicted(const Relation* rel) override;
 
+  /// Retraction hook: a base or prefix view is about to erase a row —
+  /// patch TRIC+'s cached indexes over it in place.
+  void OnRowErase(const Relation* rel, size_t row) override;
+
   /// Batch sharding (ViewEngineBase): a pattern's reach is its matching trie
   /// nodes, everything below them (cascades write those views and read their
   /// base views), the parents they join against, and the queries they can
@@ -188,6 +192,10 @@ class TricEngine : public ViewEngineBase {
   /// (`result.timed_out` is set).
   bool RouteUpdate(const EdgeUpdate& u, DeltaScratch& ds, UpdateResult& result);
 
+  /// Appends the trie nodes whose pattern `u` satisfies, top-down (depth,
+  /// then creation order) — the processing order of inserts and deletions.
+  void MatchingNodes(const EdgeUpdate& u, std::vector<TrieNode*>& out) const;
+
   /// Per-query final join (paper Fig. 8 lines 8-13, delta-seeded).
   void FinalizeQueries(UpdateResult& result, DeltaScratch& ds);
 
@@ -206,13 +214,28 @@ class TricEngine : public ViewEngineBase {
   /// one evaluation per group, fanning tags out to every member.
   void FinalizeWindowRouted(TricWindowContext& wctx, UpdateResult* window_results);
 
-  /// Edge deletion (paper §4.3): retracts the tuple from the base views,
-  /// then walks the affected tries removing every prefix-view row that used
-  /// the deleted edge at any matching depth. Exact because a view row's edge
-  /// instances are fully determined by its vertex sequence.
-  void HandleDelete(const EdgeUpdate& u);
-  void DeleteCascade(TrieNode* node, const EdgeUpdate& u,
-                     std::vector<uint32_t>& depths);
+  /// The rows one deletion retracts, per trie node, in discovery order
+  /// (top-down), each node's doomed rows deduplicated by value.
+  struct Retraction {
+    std::vector<std::pair<TrieNode*, std::unique_ptr<Relation>>> doomed;
+    std::unordered_map<const TrieNode*, Relation*> by_node;
+
+    /// `node`'s doomed rows (arity of its view), created empty on first use.
+    Relation& RowsOf(TrieNode* node);
+  };
+
+  /// Edge deletion (paper §4.3), the insert cascade's mirror image: at each
+  /// trie node matching `u`, the rows using the edge at that depth are the
+  /// parent's rows ending in `u.src` extended by `u.dst`; their descendants
+  /// are their extensions through the children's base views. Every doomed
+  /// row is collected against the pre-delete views first, then the base
+  /// views and the doomed rows are erased in place, so a deletion costs the
+  /// rows it removes. Exact because a view row's edge instances are fully
+  /// determined by its vertex sequence. Returns false when `u` was absent.
+  bool HandleDelete(const EdgeUpdate& u);
+  void RetractMatchingNode(TrieNode* node, const EdgeUpdate& u,
+                           Retraction& retraction);
+  void RetractCascade(TrieNode* node, size_t lo, Retraction& retraction);
 
   bool cache_enabled() const { return cache_ != nullptr; }
 

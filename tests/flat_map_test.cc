@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -45,6 +46,26 @@ TEST(PostingList, MovePreservesContentAndEmptiesSource) {
   EXPECT_EQ(list.size(), 0u);  // NOLINT(bugprone-use-after-move)
   list.Append(7);              // reusable after move
   EXPECT_EQ(list.Span()[0], 7u);
+}
+
+TEST(PostingList, InsertSortedAndEraseKeepAscendingOrder) {
+  PostingList list;
+  std::vector<uint32_t> model;
+  Rng rng(31);
+  for (int step = 0; step < 2'000; ++step) {
+    const uint32_t v = static_cast<uint32_t>(rng.Next(64));
+    const auto it = std::lower_bound(model.begin(), model.end(), v);
+    if (it != model.end() && *it == v) {
+      list.Erase(v);
+      model.erase(it);
+    } else {
+      list.InsertSorted(v);
+      model.insert(it, v);
+    }
+    RowIdSpan span = list.Span();
+    ASSERT_EQ(span.size(), model.size());
+    ASSERT_TRUE(std::equal(span.begin(), span.end(), model.begin()));
+  }
 }
 
 // ------------------------------------------------------------- FlatPostingMap
@@ -135,6 +156,89 @@ TEST(FlatPostingMap, PostingsStayAscending) {
   }
 }
 
+TEST(FlatPostingMap, RemoveKeepsOrderAndFreesEmptiedKeys) {
+  FlatPostingMap map;
+  for (uint32_t row = 0; row < 6; ++row) map.Add(5, row);
+  map.Add(kNoVertex, 1);
+  map.Add(9, 2);
+  map.Remove(5, 3);
+  RowIdSpan span = map.Probe(5);
+  ASSERT_EQ(span.size(), 5u);
+  EXPECT_TRUE(std::is_sorted(span.begin(), span.end()));
+  EXPECT_EQ(std::count(span.begin(), span.end(), 3u), 0);
+  map.InsertSorted(5, 3);
+  EXPECT_TRUE(std::is_sorted(map.Probe(5).begin(), map.Probe(5).end()));
+  EXPECT_EQ(map.Probe(5).size(), 6u);
+
+  // Emptied keys leave the map, the sentinel included.
+  map.Remove(9, 2);
+  map.Remove(kNoVertex, 1);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_TRUE(map.Probe(9).empty());
+  EXPECT_TRUE(map.Probe(kNoVertex).empty());
+  size_t visited = 0;
+  map.ForEach([&](VertexId key, RowIdSpan) {
+    EXPECT_EQ(key, 5u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1u);
+}
+
+TEST(FlatPostingMap, SlidingKeyWindowKeepsCapacityBounded) {
+  // A maintained index over a sliding window: keys enter and, once their
+  // last posting goes, leave. Erased slots must be reused (or rehashed away
+  // in place) so the table tracks the live window, not every key it saw.
+  constexpr uint32_t kWindow = 300;
+  FlatPostingMap map;
+  for (uint32_t k = 0; k < kWindow; ++k) map.Add(k * 7919, k);
+  const size_t steady = map.Capacity();
+  for (uint32_t k = kWindow; k < 200'000; ++k) {
+    map.Add(k * 7919, k);
+    map.Remove((k - kWindow) * 7919, k - kWindow);
+    ASSERT_EQ(map.size(), kWindow);
+    ASSERT_LE(map.Capacity(), 2 * steady) << "after key " << k;
+  }
+  for (uint32_t k = 200'000 - kWindow; k < 200'000; ++k) {
+    ASSERT_EQ(map.Probe(k * 7919).size(), 1u);
+    EXPECT_EQ(map.Probe(k * 7919)[0], k);
+  }
+  EXPECT_TRUE(map.Probe(0).empty());
+}
+
+TEST(FlatPostingMapFuzz, RemoveAndInsertSortedMatchReferenceModel) {
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    FlatPostingMap map;
+    std::map<VertexId, std::set<uint32_t>> model;
+    for (uint32_t step = 0; step < 20'000; ++step) {
+      // Strided keys collide in small tables; the sentinel rides along.
+      const uint64_t roll = rng.Next(41);
+      const VertexId key = roll == 40 ? kNoVertex : static_cast<VertexId>(roll << 12);
+      const uint32_t row = static_cast<uint32_t>(rng.Next(50));
+      auto it = model.find(key);
+      if (it != model.end() && it->second.count(row) > 0) {
+        map.Remove(key, row);
+        it->second.erase(row);
+        if (it->second.empty()) model.erase(it);
+      } else {
+        map.InsertSorted(key, row);
+        model[key].insert(row);
+      }
+      ASSERT_EQ(map.size(), model.size()) << "seed " << seed;
+    }
+    for (uint64_t roll = 0; roll <= 40; ++roll) {
+      const VertexId key = roll == 40 ? kNoVertex : static_cast<VertexId>(roll << 12);
+      RowIdSpan span = map.Probe(key);
+      auto it = model.find(key);
+      const size_t want = it == model.end() ? 0 : it->second.size();
+      ASSERT_EQ(span.size(), want) << "seed " << seed << " key " << key;
+      if (want > 0) {
+        EXPECT_TRUE(std::equal(span.begin(), span.end(), it->second.begin()));
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- FlatRowSet
 
 TEST(FlatRowSet, InsertRejectsEqualAcceptsDistinct) {
@@ -159,6 +263,77 @@ TEST(FlatRowSet, InsertRejectsEqualAcceptsDistinct) {
   EXPECT_FALSE(insert(1, 2));
   EXPECT_TRUE(insert(2, 1));
   EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatRowSet, ErasedSlotsAreReusedAndRepointedEntriesFound) {
+  // Every row hashes alike, so the rows fill the home group completely and
+  // spill into the next: an erase inside the full group must leave a
+  // tombstone (the spilled rows' chains run through it), and the next
+  // insert must reuse it rather than grow the table.
+  std::vector<uint32_t> values;  // row index -> value
+  FlatRowSet set;
+  const auto hash_of = [](uint32_t) { return uint64_t{0}; };
+  const auto insert = [&](uint32_t v) {
+    const uint32_t idx = static_cast<uint32_t>(values.size());
+    values.push_back(v);
+    const bool ok = set.Insert(
+        0, idx, [&](uint32_t e) { return values[e] == v; }, hash_of);
+    if (!ok) values.pop_back();
+    return ok;
+  };
+  const auto find = [&](uint32_t v) {
+    return set.Find(0, [&](uint32_t e) { return values[e] == v; });
+  };
+  // Swap-remove row `idx`, the way Relation::Erase does.
+  const auto erase = [&](uint32_t idx) {
+    const uint32_t last = static_cast<uint32_t>(values.size() - 1);
+    set.Erase(0, idx);
+    if (idx != last) {
+      set.Repoint(0, last, idx);
+      values[idx] = values[last];
+    }
+    values.pop_back();
+  };
+
+  for (uint32_t v = 0; v < 28; ++v) ASSERT_TRUE(insert(v));
+  const size_t bytes = set.MemoryBytes();  // 32 slots, 28 of them full
+  Rng rng(77);
+  uint32_t next = 28;
+  for (int round = 0; round < 2'000; ++round) {
+    const uint32_t victim = static_cast<uint32_t>(rng.Next(values.size()));
+    const uint32_t gone = values[victim];
+    erase(victim);
+    EXPECT_EQ(find(gone), FlatRowSet::kNotFound);
+    ASSERT_TRUE(insert(next++));
+    ASSERT_EQ(set.size(), 28u);
+    ASSERT_EQ(set.MemoryBytes(), bytes) << "round " << round;
+  }
+  for (uint32_t idx = 0; idx < values.size(); ++idx) {
+    EXPECT_EQ(find(values[idx]), idx);
+    EXPECT_FALSE(insert(values[idx]));  // live rows stay duplicates
+  }
+}
+
+TEST(FlatRowSet, SlidingRowWindowKeepsCapacityBounded) {
+  // A relation whose rows slide: every append retires the oldest row, over
+  // many distinct rows. Tombstones must not accumulate into growth.
+  constexpr uint32_t kWindow = 500;
+  Relation rel(2);
+  for (uint32_t k = 0; k < kWindow; ++k) rel.Append({k, k + 1});
+  const size_t steady = rel.MemoryBytes();
+  for (uint32_t k = kWindow; k < 100'000; ++k) {
+    ASSERT_TRUE(rel.Append({k, k + 1}));
+    const VertexId oldest[2] = {k - kWindow, k - kWindow + 1};
+    const size_t i = rel.Find(oldest);
+    ASSERT_NE(i, Relation::kNoRow);
+    rel.Erase(i);
+    ASSERT_EQ(rel.NumRows(), kWindow);
+    ASSERT_LE(rel.MemoryBytes(), 2 * steady) << "after row " << k;
+  }
+  for (uint32_t k = 100'000 - kWindow; k < 100'000; ++k) {
+    const VertexId row[2] = {k, k + 1};
+    EXPECT_NE(rel.Find(row), Relation::kNoRow);
+  }
 }
 
 // --------------------------------------------------------------- FlatMap<K,V>
@@ -275,9 +450,6 @@ TEST(FlatMap, EraseHeavyChurnDoesNotDegradeToInfiniteProbes) {
   }
   for (uint32_t k = next - 64; k < next; ++k) ASSERT_NE(map.Find(k), nullptr);
 }
-
-// --------------------------------------- Relation dedup equivalence (flat set
-// vs. reference std::set), including post-RemoveRowsWhere generations.
 
 // --------------------------------------------- group-probe SIMD/scalar parity
 
@@ -448,24 +620,18 @@ TEST(RelationDedupEquivalence, RandomizedAgainstReferenceSet) {
     }
     check_equal();
 
-    // Retraction bumps the generation and rebuilds the dedup set; dedup
-    // must stay exact afterwards.
+    // In-place retraction of every row starting with `victim`: the dedup
+    // set is patched per erase (no rebuild) and must stay exact.
     const VertexId victim = static_cast<VertexId>(rng.Next(12));
-    const uint64_t gen_before = rel.generation();
-    size_t removed = rel.RemoveRowsWhere(
-        [&](const VertexId* r) { return r[0] == victim; });
-    size_t ref_removed = 0;
     for (auto it = reference.begin(); it != reference.end();) {
-      if ((*it)[0] == victim) {
-        it = reference.erase(it);
-        ++ref_removed;
-      } else {
+      if ((*it)[0] != victim) {
         ++it;
+        continue;
       }
-    }
-    EXPECT_EQ(removed, ref_removed);
-    if (removed > 0) {
-      EXPECT_GT(rel.generation(), gen_before);
+      const size_t i = rel.Find(it->data());
+      ASSERT_NE(i, Relation::kNoRow);
+      rel.Erase(i);
+      it = reference.erase(it);
     }
     check_equal();
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -202,6 +203,58 @@ TEST(IngestRingPopFor, AbortWakesConsumer) {
   ring.Abort();
   consumer.join();
   EXPECT_TRUE(got_done);
+}
+
+/// Milliseconds since `t0`.
+double MillisSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(IngestRingPopFor, WakeCutsAWaitingPopShort) {
+  // The server posts control ops from connection threads and wakes the
+  // apply thread's PopFor, so a Subscribe round trip never waits out a poll
+  // tick.
+  BoundedBatchRing ring(4);
+  ring.AddProducer();  // a producer stays active throughout
+  std::atomic<bool> waiting{false};
+  BoundedBatchRing::PopStatus status = BoundedBatchRing::PopStatus::kGot;
+  double waited_ms = 0;
+  std::thread consumer([&] {
+    RecordBatch out;
+    waiting = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    status = ring.PopFor(out, 10'000);
+    waited_ms = MillisSince(t0);
+  });
+  while (!waiting) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ring.Wake();
+  consumer.join();
+  EXPECT_EQ(status, BoundedBatchRing::PopStatus::kTimeout);
+  EXPECT_LT(waited_ms, 2'000.0);
+}
+
+TEST(IngestRingPopFor, WakeBeforePopIsStickyAndConsumed) {
+  BoundedBatchRing ring(4);
+  ring.AddProducer();
+  ring.Wake();  // lands before the consumer waits
+  RecordBatch out;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ring.PopFor(out, 10'000), BoundedBatchRing::PopStatus::kTimeout);
+  EXPECT_LT(MillisSince(t0), 2'000.0);
+  // The wake was consumed: the next PopFor waits out its timeout again.
+  const auto t1 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ring.PopFor(out, 30), BoundedBatchRing::PopStatus::kTimeout);
+  EXPECT_GE(MillisSince(t1), 25.0);
+  // A wake never hides a ready batch.
+  RecordBatch batch;
+  batch.seq = 7;
+  ASSERT_EQ(ring.Push(std::move(batch), OverloadPolicy::kBlock),
+            BoundedBatchRing::PushResult::kOk);
+  ring.Wake();
+  EXPECT_EQ(ring.PopFor(out, 10'000), BoundedBatchRing::PopStatus::kGot);
+  EXPECT_EQ(out.seq, 7u);
 }
 
 TEST(ValidateIngestOptionsTest, RejectsDegenerateConfigs) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "matview/binding.h"
 #include "matview/hash_index.h"
 #include "matview/join.h"
@@ -32,14 +34,6 @@ TEST(Relation, RowAccessors) {
   EXPECT_EQ(r.At(0, 0), 7u);
   EXPECT_EQ(r.At(0, 2), 9u);
   EXPECT_EQ(r.Row(0)[1], 8u);
-}
-
-TEST(Relation, VersionIsRowCount) {
-  Relation r(1);
-  EXPECT_EQ(r.version(), 0u);
-  r.Append({5});
-  r.Append({5});  // dup
-  EXPECT_EQ(r.version(), 1u);
 }
 
 TEST(Relation, LargeDedupStress) {
@@ -177,26 +171,92 @@ TEST(JoinCache, ReturnsSameIndexAndCatchesUp) {
   EXPECT_EQ(cache.NumIndexes(), 2u);
 }
 
-TEST(Relation, RemoveRowsWhereCompactsAndBumpsGeneration) {
-  Relation r = MakeRel(2, {{1, 10}, {2, 20}, {3, 10}, {4, 30}});
-  uint64_t gen = r.generation();
-  size_t removed = r.RemoveRowsWhere([](const VertexId* row) { return row[1] == 10; });
-  EXPECT_EQ(removed, 2u);
-  EXPECT_EQ(r.NumRows(), 2u);
-  EXPECT_EQ(r.At(0, 0), 2u);
-  EXPECT_EQ(r.At(1, 0), 4u);
-  EXPECT_GT(r.generation(), gen);
-  // Dedup set rebuilt correctly: removed rows can be re-appended...
-  EXPECT_TRUE(r.Append({1, 10}));
-  // ...and surviving rows still dedupe.
-  EXPECT_FALSE(r.Append({2, 20}));
+// ---- In-place retraction (Relation::Erase + patched indexes) -------------
+
+using RowModel = std::set<std::vector<VertexId>>;
+
+RowModel RowsOf(const Relation& r) {
+  RowModel rows;
+  for (size_t i = 0; i < r.NumRows(); ++i)
+    rows.emplace(r.Row(i), r.Row(i) + r.arity());
+  return rows;
 }
 
-TEST(Relation, RemoveRowsWhereNoMatchKeepsGeneration) {
-  Relation r = MakeRel(2, {{1, 10}});
-  uint64_t gen = r.generation();
-  EXPECT_EQ(r.RemoveRowsWhere([](const VertexId*) { return false; }), 0u);
-  EXPECT_EQ(r.generation(), gen);
+/// Row ids whose column `col` equals `key`, ascending — what every index
+/// probe must return.
+std::vector<uint32_t> ScanPostings(const Relation& r, uint32_t col, VertexId key) {
+  std::vector<uint32_t> ids;
+  for (size_t i = 0; i < r.NumRows(); ++i)
+    if (r.At(i, col) == key) ids.push_back(static_cast<uint32_t>(i));
+  return ids;
+}
+
+void ExpectProbesLikeScan(const HashIndex& idx, const Relation& r, VertexId universe,
+                          const char* what) {
+  ASSERT_EQ(idx.indexed_rows(), r.NumRows()) << what;
+  for (VertexId key = 0; key < universe; ++key) {
+    const RowIdSpan span = idx.Probe(key);
+    const std::vector<uint32_t> want = ScanPostings(r, idx.column(), key);
+    ASSERT_TRUE(std::is_sorted(span.begin(), span.end())) << what << " key " << key;
+    ASSERT_EQ(std::vector<uint32_t>(span.begin(), span.end()), want)
+        << what << " column " << idx.column() << " key " << key;
+  }
+}
+
+TEST(Relation, RandomAppendEraseMatchesSetModel) {
+  constexpr VertexId kUniverse = 6;  // small: duplicates and re-appends abound
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Relation r(3);
+    RowModel model;
+    const auto random_row = [&] {
+      return std::vector<VertexId>{static_cast<VertexId>(rng.Next(kUniverse)),
+                                   static_cast<VertexId>(rng.Next(kUniverse)),
+                                   static_cast<VertexId>(rng.Next(kUniverse))};
+    };
+    for (int step = 0; step < 6'000; ++step) {
+      if (r.Empty() || rng.Next(100) < 55) {
+        // A live row is rejected as a duplicate; an absent (possibly
+        // erased) one lands.
+        const std::vector<VertexId> row = random_row();
+        ASSERT_EQ(r.Append(row), model.insert(row).second) << "seed " << seed;
+      } else {
+        const size_t i = rng.Next(r.NumRows());
+        const std::vector<VertexId> gone(r.Row(i), r.Row(i) + 3);
+        r.Erase(i);
+        ASSERT_EQ(model.erase(gone), 1u);
+        EXPECT_EQ(r.Find(gone.data()), Relation::kNoRow);
+        if (rng.Next(4) == 0) {
+          // Erased rows can come straight back.
+          ASSERT_TRUE(r.Append(gone));
+          model.insert(gone);
+        }
+      }
+      ASSERT_EQ(r.NumRows(), model.size()) << "seed " << seed;
+    }
+    EXPECT_EQ(RowsOf(r), model);
+    for (const std::vector<VertexId>& row : model) {
+      const size_t i = r.Find(row.data());
+      ASSERT_NE(i, Relation::kNoRow);
+      EXPECT_TRUE(std::equal(row.begin(), row.end(), r.Row(i)));
+      EXPECT_FALSE(r.Append(row));
+    }
+  }
+}
+
+TEST(Relation, EraseMovesOnlyTheLastRow) {
+  Relation r = MakeRel(2, {{1, 10}, {2, 20}, {3, 30}, {4, 40}});
+  const uint64_t generation = r.generation();
+  r.Erase(1);
+  ASSERT_EQ(r.NumRows(), 3u);
+  EXPECT_EQ(r.At(0, 0), 1u);  // untouched
+  EXPECT_EQ(r.At(1, 0), 4u);  // the last row took the hole
+  EXPECT_EQ(r.At(2, 0), 3u);  // untouched
+  r.Erase(2);                 // erasing the last row moves nothing
+  ASSERT_EQ(r.NumRows(), 2u);
+  EXPECT_EQ(r.At(1, 0), 4u);
+  EXPECT_EQ(r.erasures(), 2u);
+  EXPECT_EQ(r.generation(), generation);  // erases are not clears
 }
 
 TEST(Relation, ClearResetsRows) {
@@ -210,28 +270,73 @@ TEST(Relation, ClearResetsRows) {
   EXPECT_EQ(r.generation(), gen);
 }
 
-TEST(HashIndex, RebuildsAfterRetraction) {
+TEST(HashIndex, PatchEraseKeepsIndexCurrentWithoutCatchUp) {
+  Relation r = MakeRel(2, {{1, 10}, {2, 20}, {1, 30}, {2, 40}});
+  HashIndex idx(&r, 0);
+  idx.PatchErase(0);  // {2,40} moves into row 0
+  r.Erase(0);
+  // Patched: already covers every row, no CatchUp needed.
+  EXPECT_EQ(idx.indexed_rows(), r.NumRows());
+  ExpectProbesLikeScan(idx, r, 3, "patched");
+  // A row appended after the last CatchUp is not indexed yet; erasing an
+  // indexed row moves it in, and the patch indexes it at its new id.
+  r.Append({1, 50});
+  idx.PatchErase(1);
+  r.Erase(1);
+  EXPECT_EQ(idx.indexed_rows(), r.NumRows());
+  ExpectProbesLikeScan(idx, r, 3, "patched with a lagging row");
+}
+
+TEST(HashIndex, UnpatchedIndexRebuildsAfterErase) {
   Relation r = MakeRel(2, {{1, 10}, {2, 20}, {1, 30}});
   HashIndex idx(&r, 0);
-  EXPECT_EQ(idx.Probe(1).size(), 2u);
-  r.RemoveRowsWhere([](const VertexId* row) { return row[1] == 30; });
+  r.Erase(0);  // no PatchErase: the index must not trust its postings
   idx.CatchUp();
-  EXPECT_EQ(idx.Probe(1).size(), 1u);
-  EXPECT_EQ(idx.Probe(2).size(), 1u);
-  // Probed row index is valid in the compacted relation.
+  ExpectProbesLikeScan(idx, r, 3, "rebuilt");
   EXPECT_EQ(r.At(idx.Probe(2)[0], 1), 20u);
 }
 
-TEST(JoinCache, ServesRebuiltIndexAfterRetraction) {
-  JoinCache cache;
-  Relation r(2);
-  r.Append({1, 10});
-  r.Append({1, 20});
-  HashIndex* idx = cache.Get(&r, 0);
-  EXPECT_EQ(idx->Probe(1).size(), 2u);
-  r.RemoveRowsWhere([](const VertexId* row) { return row[1] == 10; });
-  idx = cache.Get(&r, 0);
-  EXPECT_EQ(idx->Probe(1).size(), 1u);
+TEST(JoinCache, PatchedAndFreshIndexesProbeLikeScan) {
+  // Indexes built before the first erase and patched through every erase
+  // (the engines' OnRowErase path), indexes the patches never reach (the
+  // rebuild safety net), and indexes built fresh at the end must all probe
+  // exactly like a scan, with ascending postings. Gets happen at random, so
+  // erases also hit indexes lagging behind appended rows.
+  constexpr VertexId kUniverse = 9;
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    Rng rng(seed);
+    Relation r(3);
+    JoinCache patched;
+    JoinCache unpatched;
+    for (int i = 0; i < 40; ++i)
+      r.Append({static_cast<VertexId>(rng.Next(kUniverse)),
+                static_cast<VertexId>(rng.Next(kUniverse)),
+                static_cast<VertexId>(rng.Next(kUniverse))});
+    for (uint32_t col = 0; col < 3; ++col) {
+      patched.Get(&r, col);
+      unpatched.Get(&r, col);
+    }
+    for (int step = 0; step < 3'000; ++step) {
+      const uint64_t roll = rng.Next(100);
+      if (r.Empty() || roll < 50) {
+        r.Append({static_cast<VertexId>(rng.Next(kUniverse)),
+                  static_cast<VertexId>(rng.Next(kUniverse)),
+                  static_cast<VertexId>(rng.Next(kUniverse))});
+      } else if (roll < 90) {
+        const size_t i = rng.Next(r.NumRows());
+        patched.PatchErase(&r, i);
+        r.Erase(i);
+      } else {
+        patched.Get(&r, static_cast<uint32_t>(rng.Next(3)));
+      }
+    }
+    for (uint32_t col = 0; col < 3; ++col) {
+      ExpectProbesLikeScan(*patched.Get(&r, col), r, kUniverse, "patched");
+      ExpectProbesLikeScan(*unpatched.Get(&r, col), r, kUniverse, "unpatched");
+      JoinCache fresh;
+      ExpectProbesLikeScan(*fresh.Get(&r, col), r, kUniverse, "fresh");
+    }
+  }
 }
 
 TEST(PathBindingSpec, NoRepeatsPassthrough) {
@@ -305,11 +410,11 @@ TEST(RelationProvenance, TaggedAppendKeepsTagsAndDedups) {
   EXPECT_EQ(r.ProvOf(2), 0u);
 }
 
-TEST(RelationProvenance, TagsSurviveRemoveAndMove) {
+TEST(RelationProvenance, TagsSurviveEraseAndMove) {
   Relation r(1);
   r.EnableProvenance();
   for (VertexId v = 0; v < 6; ++v) r.AppendTagged(&v, v + 10);
-  r.RemoveRowsWhere([](const VertexId* row) { return *row % 2 == 0; });
+  for (VertexId v = 0; v < 6; v += 2) r.Erase(r.Find(&v));
   ASSERT_EQ(r.NumRows(), 3u);
   for (size_t i = 0; i < r.NumRows(); ++i) EXPECT_EQ(r.ProvOf(i), r.At(i, 0) + 10);
   Relation moved(std::move(r));

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -162,6 +165,54 @@ TEST(ServerLoopback, NotificationsMatchRunStreamOracle) {
   EXPECT_EQ(stats.records_applied, w.stream.size());
   EXPECT_EQ(stats.notifications_shed, 0u);
   EXPECT_EQ(stats.notifications_produced, stats.notifications_delivered);
+}
+
+TEST(ServerLoopback, BusySubscriberKeepsSendingHeartbeats) {
+  // A subscriber that is sent a frame more often than its heartbeat period
+  // never sees a read time out, and it has nothing else to write. It must
+  // still prove liveness, or the server reaps it after idle_timeout_millis
+  // and the notifications stop reaching it.
+  const workload::Workload w = MakeWorkload(600);
+  ServerOptions sopts = FastServerOptions();  // Progress frames every 50 ms
+  sopts.idle_timeout_millis = 600;
+  Server server(sopts);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+
+  ClientOptions sub_opts = ClientOptionsFor(server, "subscriber");
+  sub_opts.heartbeat_millis = 200;  // longer than the server's frame gaps
+  Client subscriber(sub_opts);
+  Collector collector;
+  collector.Bind(subscriber);
+  ASSERT_TRUE(subscriber.Connect(&err)) << err;
+  SubscribeAll(subscriber);
+
+  // Trickle the stream for 60 x 40 ms = 2.4 s, four idle timeouts, so
+  // notifications keep arriving the whole time.
+  Client producer(ClientOptionsFor(server, "producer"));
+  ASSERT_TRUE(producer.Connect(&err)) << err;
+  producer.SetDictionary(DictOf(*w.interner));
+  const std::vector<EdgeUpdate>& updates = w.stream.updates();
+  constexpr size_t kChunk = 10;
+  for (size_t lo = 0; lo < updates.size(); lo += kChunk) {
+    const size_t hi = std::min(updates.size(), lo + kChunk);
+    ASSERT_TRUE(producer.StreamEdges(
+        std::vector<EdgeUpdate>(updates.begin() + static_cast<std::ptrdiff_t>(lo),
+                                updates.begin() + static_cast<std::ptrdiff_t>(hi)),
+        &err))
+        << err;
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  }
+  ASSERT_TRUE(producer.WaitApplied(updates.size(), &err)) << err;
+  producer.Close();
+  subscriber.Close();
+  server.Drain();
+
+  EXPECT_EQ(server.stats().idle_disconnects, 0u);
+  EXPECT_EQ(subscriber.stats().reconnects, 0u);
+  const NotifySeq oracle = OracleSequence(EngineKind::kTricPlus, w);
+  EXPECT_FALSE(oracle.empty());
+  EXPECT_EQ(collector.Take(), oracle);
 }
 
 /// Raw-socket helper: handshake as `name`, optionally subscribing to the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,22 +36,102 @@ QueryPattern ChainOfSignature(const std::vector<GenericEdgePattern>& sig) {
   return q;
 }
 
+/// Checks every trie node's view against the set of embeddings of its
+/// root-to-node path signature in `store`, enumerated by the independent
+/// backtracking executor. Returns the number of nodes checked.
+size_t ExpectViewsMatchGraph(const TricEngine& engine, const graphdb::GraphStore& store,
+                             const std::string& what) {
+  graphdb::MatchExecutor exec(&store);
+  size_t checked = 0;
+  engine.forest().ForEachNode([&](const TrieNode& node) {
+    // Reconstruct the signature root -> node.
+    std::vector<GenericEdgePattern> sig;
+    for (const TrieNode* n = &node; n != nullptr; n = n->parent)
+      sig.insert(sig.begin(), n->pattern);
+
+    QueryPattern chain = ChainOfSignature(sig);
+    std::set<std::vector<VertexId>> expected;
+    exec.Enumerate(chain, graphdb::PlanQuery(chain),
+                   [&](const std::vector<VertexId>& assignment) {
+                     // Chain vertex order == view column order by
+                     // construction of ChainOfSignature.
+                     expected.insert(assignment);
+                     return true;
+                   });
+
+    std::set<std::vector<VertexId>> actual;
+    const Relation& view = *node.view;
+    for (size_t r = 0; r < view.NumRows(); ++r)
+      actual.insert(std::vector<VertexId>(view.Row(r), view.Row(r) + view.arity()));
+
+    ASSERT_EQ(actual.size(), view.NumRows()) << what << ": duplicate view rows";
+    ASSERT_EQ(actual, expected) << what << ": trie node depth " << node.depth
+                                << " diverged (" << expected.size()
+                                << " expected rows)";
+    ++checked;
+  });
+  return checked;
+}
+
+/// Inserts `updates` into `engine` and `store`; returns the distinct edges.
+std::vector<EdgeUpdate> ApplyInserts(TricEngine& engine, graphdb::GraphStore& store,
+                                     const std::vector<EdgeUpdate>& updates) {
+  std::vector<EdgeUpdate> applied;
+  for (const auto& u : updates) {
+    engine.ApplyUpdate(u);
+    if (store.AddEdge(u.src, u.label, u.dst)) applied.push_back(u);
+  }
+  return applied;
+}
+
+/// Deletes a seeded third of the `applied` edges from `engine` and `store`,
+/// re-adding a random earlier victim after about every third deletion, so
+/// views shrink and regrow through the same rows.
+void DeleteThirdAndReAdd(TricEngine& engine, graphdb::GraphStore& store,
+                         std::vector<EdgeUpdate> applied, uint64_t seed) {
+  Rng rng(seed);
+  std::shuffle(applied.begin(), applied.end(), rng.engine());
+  applied.resize(applied.size() / 3);
+  std::vector<EdgeUpdate> deleted;
+  for (EdgeUpdate u : applied) {
+    u.op = UpdateOp::kDelete;
+    ASSERT_TRUE(engine.ApplyUpdate(u).changed);
+    ASSERT_TRUE(store.RemoveEdge(u.src, u.label, u.dst));
+    deleted.push_back(u);
+    if (rng.Next(3) != 0) continue;
+    const size_t k = rng.Next(deleted.size());
+    EdgeUpdate back = deleted[k];
+    deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(k));
+    back.op = UpdateOp::kAdd;
+    ASSERT_TRUE(engine.ApplyUpdate(back).changed);
+    ASSERT_TRUE(store.AddEdge(back.src, back.label, back.dst));
+  }
+}
+
+workload::Workload SnbStream() {
+  workload::SnbConfig sc;
+  sc.num_updates = 500;
+  sc.num_places = 10;
+  sc.num_tags = 10;
+  return workload::GenerateSnb(sc);
+}
+
+workload::QuerySet SnbQueries(const workload::Workload& w) {
+  workload::QueryGenConfig qc;
+  qc.num_queries = 40;
+  qc.selectivity = 0.4;
+  qc.seed = 101;
+  return workload::GenerateQueries(w, qc);
+}
+
 /// THE load-bearing invariant of TRIC's answering phase: after any stream,
 /// every trie node's materialized view must equal the set of embeddings of
 /// its root-to-node path signature in the full graph — i.e. incremental
 /// delta propagation computes exactly what a from-scratch evaluation would.
 /// Verified with the independent backtracking executor.
 TEST(TricViewInvariant, ViewsEqualFromScratchEvaluation) {
-  workload::SnbConfig sc;
-  sc.num_updates = 500;
-  sc.num_places = 10;
-  sc.num_tags = 10;
-  workload::Workload w = workload::GenerateSnb(sc);
-  workload::QueryGenConfig qc;
-  qc.num_queries = 40;
-  qc.selectivity = 0.4;
-  qc.seed = 101;
-  workload::QuerySet qs = workload::GenerateQueries(w, qc);
+  workload::Workload w = SnbStream();
+  workload::QuerySet qs = SnbQueries(w);
 
   for (bool cached : {false, true}) {
     TricEngine engine(cached);
@@ -58,50 +139,37 @@ TEST(TricViewInvariant, ViewsEqualFromScratchEvaluation) {
       engine.AddQuery(qid, qs.queries[qid]);
 
     graphdb::GraphStore store;
-    for (const auto& u : w.stream.updates()) {
-      engine.ApplyUpdate(u);
-      store.AddEdge(u.src, u.label, u.dst);
-    }
-    graphdb::MatchExecutor exec(&store);
-
-    size_t checked = 0;
-    engine.forest().ForEachNode([&](const TrieNode& node) {
-      // Reconstruct the signature root -> node.
-      std::vector<GenericEdgePattern> sig;
-      for (const TrieNode* n = &node; n != nullptr; n = n->parent)
-        sig.insert(sig.begin(), n->pattern);
-
-      QueryPattern chain = ChainOfSignature(sig);
-      std::set<std::vector<VertexId>> expected;
-      exec.Enumerate(chain, graphdb::PlanQuery(chain),
-                     [&](const std::vector<VertexId>& assignment) {
-                       // Chain vertex order == view column order by
-                       // construction of ChainOfSignature.
-                       expected.insert(assignment);
-                       return true;
-                     });
-
-      std::set<std::vector<VertexId>> actual;
-      const Relation& view = *node.view;
-      for (size_t r = 0; r < view.NumRows(); ++r)
-        actual.insert(
-            std::vector<VertexId>(view.Row(r), view.Row(r) + view.arity()));
-
-      ASSERT_EQ(actual, expected)
-          << "trie node depth " << node.depth << " diverged (cached=" << cached
-          << ", " << expected.size() << " expected rows)";
-      ++checked;
-    });
+    ApplyInserts(engine, store, w.stream.updates());
+    const size_t checked =
+        ExpectViewsMatchGraph(engine, store, cached ? "TRIC+" : "TRIC");
     // The query set must have produced a real forest.
     EXPECT_GT(checked, 50u);
   }
 }
 
-/// Same invariant under adversarial repeated-label chains (every update
-/// matches several depths of the same trie at once).
-TEST(TricViewInvariant, RepeatedLabelTrieStaysExact) {
-  StringInterner in;
-  TricEngine engine(false);
+/// The invariant under deletions: the retraction cascade must leave every
+/// view equal to a from-scratch evaluation over the live graph, including
+/// views that shrank and regrew through re-added edges.
+TEST(TricViewInvariant, ViewsEqualFromScratchEvaluationAfterDeletions) {
+  workload::Workload w = SnbStream();
+  workload::QuerySet qs = SnbQueries(w);
+
+  for (bool cached : {false, true}) {
+    TricEngine engine(cached);
+    for (QueryId qid = 0; qid < qs.queries.size(); ++qid)
+      engine.AddQuery(qid, qs.queries[qid]);
+
+    graphdb::GraphStore store;
+    DeleteThirdAndReAdd(engine, store, ApplyInserts(engine, store, w.stream.updates()),
+                        /*seed=*/17);
+    const size_t checked =
+        ExpectViewsMatchGraph(engine, store, cached ? "TRIC+" : "TRIC");
+    EXPECT_GT(checked, 50u);
+  }
+}
+
+/// Registers the repeated-label `r` chains of lengths 3, 2 and 1.
+void AddRepeatedLabelChains(TricEngine& engine, StringInterner& in) {
   auto parse = [&](const char* p) {
     auto r = ParsePattern(p, in);
     EXPECT_TRUE(r.ok);
@@ -110,8 +178,10 @@ TEST(TricViewInvariant, RepeatedLabelTrieStaysExact) {
   engine.AddQuery(0, parse("(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[r]->(?d)"));
   engine.AddQuery(1, parse("(?a)-[r]->(?b); (?b)-[r]->(?c)"));
   engine.AddQuery(2, parse("(?a)-[r]->(?b)"));
+}
 
-  graphdb::GraphStore store;
+/// Every `r` edge over seven vertices (self-loops included), shuffled.
+std::vector<EdgeUpdate> CompleteRGraph(StringInterner& in) {
   LabelId r = in.Intern("r");
   Rng rng(5);
   std::vector<EdgeUpdate> updates;
@@ -120,7 +190,18 @@ TEST(TricViewInvariant, RepeatedLabelTrieStaysExact) {
       updates.push_back({in.Intern("n" + std::to_string(s)), r,
                          in.Intern("n" + std::to_string(t)), UpdateOp::kAdd});
   std::shuffle(updates.begin(), updates.end(), rng.engine());
-  for (const auto& u : updates) {
+  return updates;
+}
+
+/// Same invariant under adversarial repeated-label chains (every update
+/// matches several depths of the same trie at once).
+TEST(TricViewInvariant, RepeatedLabelTrieStaysExact) {
+  StringInterner in;
+  TricEngine engine(false);
+  AddRepeatedLabelChains(engine, in);
+
+  graphdb::GraphStore store;
+  for (const auto& u : CompleteRGraph(in)) {
     engine.ApplyUpdate(u);
     store.AddEdge(u.src, u.label, u.dst);
   }
@@ -134,6 +215,22 @@ TEST(TricViewInvariant, RepeatedLabelTrieStaysExact) {
     uint64_t expected = exec.CountMatches(chain, graphdb::PlanQuery(chain));
     ASSERT_EQ(node.view->NumRows(), expected) << "depth " << node.depth;
   });
+}
+
+/// Repeated-label chains under deletions: one deleted edge sits at several
+/// depths of one row, so the cascade must retract each row exactly once and
+/// miss none.
+TEST(TricViewInvariant, RepeatedLabelTrieStaysExactAfterDeletions) {
+  for (bool cached : {false, true}) {
+    StringInterner in;
+    TricEngine engine(cached);
+    AddRepeatedLabelChains(engine, in);
+
+    graphdb::GraphStore store;
+    DeleteThirdAndReAdd(engine, store, ApplyInserts(engine, store, CompleteRGraph(in)),
+                        /*seed=*/23);
+    EXPECT_EQ(ExpectViewsMatchGraph(engine, store, cached ? "TRIC+" : "TRIC"), 3u);
+  }
 }
 
 }  // namespace
