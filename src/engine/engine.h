@@ -128,7 +128,7 @@ class ContinuousEngine {
 
   /// Diagnostic counter: batch windows whose footprint/union-find shard
   /// partition was served from the generalization-profile memo instead of
-  /// recomputed (see ViewEngineBase::RunInsertWindowImpl).
+  /// recomputed (see ViewEngineBase::RunWindowImpl).
   virtual uint64_t footprint_cache_hits() const { return 0; }
 
   /// Toggles the sublinear query routing index (on by default for the view

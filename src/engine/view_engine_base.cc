@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -112,18 +113,21 @@ void ViewEngineBase::EraseViewRow(Relation* rel, const VertexId* row) {
   // erases rows it derived from the pre-delete views.
   GS_DCHECK(i != Relation::kNoRow);
   if (i == Relation::kNoRow) return;
-  OnRowErase(rel, i);
-  rel->Erase(i);
+  EraseViewRowAt(rel, i);
 }
 
 bool ViewEngineBase::RemoveFromBaseViews(const EdgeUpdate& u) {
   if (seen_edges_.erase(u) == 0) return false;
+  EraseFromBaseViews(u);
+  return true;
+}
+
+void ViewEngineBase::EraseFromBaseViews(const EdgeUpdate& u) {
   const VertexId row[2] = {u.src, u.dst};
   for (const auto& g : Generalizations(u)) {
     auto it = base_views_.find(g);
     if (it != base_views_.end()) EraseViewRow(it->second.get(), row);
   }
-  return true;
 }
 
 bool ViewEngineBase::IsDuplicateUpdate(const EdgeUpdate& u) {
@@ -153,28 +157,32 @@ std::vector<UpdateResult> ViewEngineBase::ApplyBatch(const EdgeUpdate* updates,
                                                      size_t n) {
   std::vector<UpdateResult> results;
   results.reserve(n);
+  const bool mixed = SupportsMixedWindows();
+  GS_DCHECK(!mixed || SupportsWindowDelta());
   size_t i = 0;
   while (i < n) {
-    if (updates[i].op == UpdateOp::kDelete) {
-      // Deletions retract shared state with global reach; they act as
-      // barriers between insert windows.
+    if (!mixed && updates[i].op == UpdateOp::kDelete) {
+      // Without mixed windows a deletion retracts shared state with global
+      // reach at once; it acts as a barrier between insert windows.
       results.push_back(ApplyUpdate(updates[i]));
       ++i;
       if (results.back().timed_out) return results;
       continue;
     }
     size_t j = i;
-    while (j < n && updates[j].op != UpdateOp::kDelete) ++j;
-    if (!RunInsertWindow(updates, i, j, results)) return results;
-    i = j;
+    while (j < n && (mixed || updates[j].op != UpdateOp::kDelete)) ++j;
+    if (!RunWindow(updates, i, j, results)) return results;
+    // A mixed window may end before `j`; every executed update left one
+    // result.
+    i = results.size();
   }
   return results;
 }
 
-bool ViewEngineBase::RunInsertWindow(const EdgeUpdate* updates, size_t lo,
-                                     size_t hi, std::vector<UpdateResult>& results) {
+bool ViewEngineBase::RunWindow(const EdgeUpdate* updates, size_t lo, size_t hi,
+                               std::vector<UpdateResult>& results) {
   if (window_cache_enabled_) window_cache_ = std::make_unique<WindowJoinCache>();
-  const bool ok = RunInsertWindowImpl(updates, lo, hi, results);
+  const bool ok = RunWindowImpl(updates, lo, hi, results);
   if (window_cache_ != nullptr) {
     // The window's build tables are transient scratch, never engine state.
     NotePeakTransient(window_cache_->MemoryBytes());
@@ -187,6 +195,14 @@ void ViewEngineBase::ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
                                         UpdateResult& result) {
   (void)ctx;
   result = ProcessInsert(u);
+}
+
+void ViewEngineBase::ProcessDeleteDelta(const EdgeUpdate& u, WindowContext& ctx,
+                                        UpdateResult& result) {
+  (void)u;
+  (void)ctx;
+  (void)result;
+  GS_CHECK_MSG(false, "ProcessDeleteDelta without SupportsMixedWindows");
 }
 
 void ViewEngineBase::FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) {
@@ -302,31 +318,55 @@ void ViewEngineBase::ScatterTagCounts(std::vector<uint32_t>& tags, QueryId qid,
   }
 }
 
-bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
-                                           size_t hi,
-                                           std::vector<UpdateResult>& results) {
-  const size_t count = hi - lo;
-
-  // Duplicate pre-pass, in stream order: the seen-edge set is global, so the
-  // coordinator resolves it before any sharding. A duplicate's result is the
-  // empty no-op result, exactly as in sequential execution.
-  std::vector<uint8_t> dup(count);
-  for (size_t k = 0; k < count; ++k)
-    dup[k] = IsDuplicateUpdate(updates[lo + k]) ? 1 : 0;
+bool ViewEngineBase::RunWindowImpl(const EdgeUpdate* updates, size_t lo,
+                                   size_t hi, std::vector<UpdateResult>& results) {
+  // Pre-pass, in stream order: the seen-edge set is global, so the
+  // coordinator resolves every insert's duplicate check and every
+  // deletion's presence check before any sharding. A no-op (duplicate
+  // insert, deletion of an absent edge) gets the empty result, exactly as in
+  // sequential execution. A mixed window ends before an insert re-adding an
+  // edge the window deleted: the edge's retired rows still sit in the views
+  // (and their dedup sets) until the window ends, and a row lives through
+  // one interval per window.
+  std::vector<uint8_t> noop;
+  noop.reserve(hi - lo);
+  std::unordered_set<EdgeUpdate, EdgeKeyHash, EdgeKeyEq> deleted;
+  for (size_t k = lo; k < hi; ++k) {
+    const EdgeUpdate& u = updates[k];
+    if (u.op == UpdateOp::kDelete) {
+      const bool present = seen_edges_.erase(u) > 0;
+      if (present) deleted.insert(u);
+      noop.push_back(present ? 0 : 1);
+    } else {
+      if (!deleted.empty() && deleted.count(u) > 0) break;
+      noop.push_back(IsDuplicateUpdate(u) ? 1 : 0);
+    }
+  }
+  const size_t count = noop.size();
+  const bool has_delete = !deleted.empty();
 
   // Window-delta execution needs ≥ 2 updates to amortize anything; single-
-  // insert windows take the per-update path unchanged.
-  const bool delta = count > 1 && SupportsWindowDelta();
+  // insert windows take the per-update path unchanged. A deletion inside a
+  // window always takes the delta path (the pre-pass already applied its
+  // seen-edge half).
+  const bool delta = SupportsWindowDelta() && (count > 1 || has_delete);
 
   // Shared finalization groups are read (immutably) by FinalizeWindow, which
   // may run on shard threads — rebuild on the coordinator, like the reaches.
   if (delta) EnsureFinalizeGroups();
 
-  // On a mid-window timeout the pre-pass marked edges we never applied;
-  // un-mark the suffix so it leaves no trace (ApplyBatch contract).
+  // On a mid-window timeout the pre-pass changed the seen-edge set for
+  // updates we never applied; undo the suffix, newest first, so it leaves
+  // no trace (ApplyBatch contract).
   const auto unwind_suffix = [&](size_t first_unapplied) {
-    for (size_t j = first_unapplied; j < count; ++j)
-      if (!dup[j]) seen_edges_.erase(updates[lo + j]);
+    for (size_t j = count; j-- > first_unapplied;) {
+      if (noop[j]) continue;
+      const EdgeUpdate& u = updates[lo + j];
+      if (u.op == UpdateOp::kDelete)
+        seen_edges_.insert(u);
+      else
+        seen_edges_.erase(u);
+    }
   };
 
   // The routed finalize emits counts per signature group, interleaving query
@@ -339,7 +379,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
 
   const auto run_sequential = [&]() {
     for (size_t k = 0; k < count; ++k) {
-      results.push_back(dup[k] ? UpdateResult{} : ProcessInsert(updates[lo + k]));
+      results.push_back(noop[k] ? UpdateResult{} : ProcessInsert(updates[lo + k]));
       if (results.back().timed_out) {
         unwind_suffix(k + 1);
         return false;
@@ -350,16 +390,22 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
 
   // Single-threaded delta path: maintain views per update in stream order,
   // then run every deferred final join once at the window boundary. On a
-  // budget trip results are partial, as everywhere under timeout.
+  // budget trip results are partial, as everywhere under timeout, but the
+  // applied deletions' retired rows are still erased.
   const auto run_sequential_delta = [&]() {
     std::vector<UpdateResult> window(count);
     std::unique_ptr<WindowContext> ctx = NewWindowContext();
     ctx->window_updates = updates + lo;
     for (size_t k = 0; k < count; ++k) {
-      if (dup[k]) continue;
+      if (noop[k]) continue;
       ctx->position = static_cast<uint32_t>(k) + 1;
-      ProcessInsertDelta(updates[lo + k], *ctx, window[k]);
+      const EdgeUpdate& u = updates[lo + k];
+      if (u.op == UpdateOp::kDelete)
+        ProcessDeleteDelta(u, *ctx, window[k]);
+      else
+        ProcessInsertDelta(u, *ctx, window[k]);
       if (BudgetExceeded()) {
+        EraseRetired(*ctx);
         unwind_suffix(k + 1);
         for (size_t j = 0; j <= k; ++j) results.push_back(std::move(window[j]));
         results.back().timed_out = true;
@@ -367,6 +413,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
       }
     }
     FinalizeWindow(*ctx, window.data());
+    EraseRetired(*ctx);
     normalize_order(window);
     for (size_t k = 0; k < count; ++k) results.push_back(std::move(window[k]));
     if (budget_ != nullptr && budget_->ExceededNow()) {
@@ -377,7 +424,9 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
   };
 
   const auto run_single = [&]() { return delta ? run_sequential_delta() : run_sequential(); };
-  if (sched_ == nullptr || count == 1) return run_single();
+  // Deletions reach shared state globally, so a window holding one runs on
+  // the coordinator; insert-only windows shard.
+  if (sched_ == nullptr || count == 1 || has_delete) return run_single();
 
   // ---- shard partition: generalization-profile memo, else union-find ----
   //
@@ -394,7 +443,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     profile.reserve(count * 3);
     for (size_t k = 0; k < count; ++k) {
       profile.push_back(kProfileNextUpdate);
-      if (dup[k]) {
+      if (noop[k]) {
         profile.push_back(kProfileDuplicate);
         continue;
       }
@@ -420,7 +469,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     std::iota(parent.begin(), parent.end(), 0u);
     FlatMap<uint64_t, uint32_t, ElemHash> owner;
     for (size_t k = 0; k < count; ++k) {
-      if (dup[k]) continue;
+      if (noop[k]) continue;
       if (!CollectFootprint(updates[lo + k], fps[k])) return run_single();
       for (uint64_t e : fps[k]) {
         uint32_t& first = owner.GetOrCreate(e);
@@ -438,7 +487,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
     // deterministic.
     std::vector<int32_t> shard_of_root(count, -1);
     for (size_t k = 0; k < count; ++k) {
-      if (dup[k]) continue;
+      if (noop[k]) continue;
       const uint32_t root = FindRoot(parent, static_cast<uint32_t>(k));
       if (shard_of_root[root] < 0) {
         shard_of_root[root] = static_cast<int32_t>(computed_shards.size());
@@ -540,7 +589,7 @@ bool ViewEngineBase::RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo,
   // Deterministic positional merge, in task-submission order. Positions are
   // task-disjoint, so the merged window is byte-identical to sequential
   // execution no matter which executor ran which task.
-  std::vector<UpdateResult> window(count);  // dup slots stay the no-op result
+  std::vector<UpdateResult> window(count);  // no-op slots stay the no-op result
   for (size_t t = 0; t < tasks.size(); ++t) {
     for (uint32_t s = tasks[t].first; s < tasks[t].limit; ++s)
       for (uint32_t k : shards[s]) window[k] = std::move(arenas[t][k]);

@@ -40,9 +40,12 @@ namespace gstream {
 ///    own full-window result arena, and the coordinator merges the arenas
 ///    back in task-submission order at the window barrier — positions are
 ///    task-disjoint, so the merged window is byte-identical to sequential
-///    execution regardless of which executor ran what. Deletions and
-///    duplicate checks are order-sensitive and global, so deletions act as
-///    window barriers and the duplicate pre-pass runs on the coordinator.
+///    execution regardless of which executor ran what. Duplicate and
+///    presence checks are order-sensitive and global, so the pre-pass that
+///    resolves them runs on the coordinator. Deletions are window barriers
+///    for the engines without mixed windows (INV/INC families); TRIC/TRIC+
+///    (`SupportsMixedWindows`) keep deletions inside the window instead, and
+///    a window holding a deletion runs on the coordinator.
 ///    The footprint/union-find partition is memoized per window shape: the
 ///    shard member lists are a pure function of the window's
 ///    *generalization profile* (the per-update sequence of matched
@@ -58,6 +61,13 @@ namespace gstream {
 ///    been produced at by sequential execution, so grouping them by tag
 ///    reconstructs byte-identical per-update results. The per-update path
 ///    remains the `--batch 1` / single-insert degenerate case.
+///  * mixed insert/delete windows (DESIGN.md §16): an engine that opts in
+///    (`SupportsMixedWindows`) takes a whole `ApplyBatch` call as one delta
+///    window, deletions included. A deletion at window position q retracts
+///    the shared state at q (`ProcessDeleteDelta`) but only *retires* the
+///    derived rows the final joins read, so the window still ends with one
+///    FinalizeWindow; `EraseRetired` erases them afterwards. A window ends
+///    early only before an insert that re-adds an edge it deleted.
 ///  * shared window finalization (DESIGN.md §9): live queries are grouped by
 ///    their covering-path join signature — the ordered shared-view ids plus
 ///    the join/filter spec of the final join (`EncodeFinalizeSignature`).
@@ -191,6 +201,11 @@ class ViewEngineBase : public ContinuousEngine {
   /// otherwise batch windows replay `ProcessInsert` per update.
   virtual bool SupportsWindowDelta() const { return false; }
 
+  /// True when delta windows may hold deletions (`ProcessDeleteDelta`,
+  /// `EraseRetired`); otherwise each deletion is a barrier applied through
+  /// `ApplyUpdate` between insert windows. Implies SupportsWindowDelta.
+  virtual bool SupportsMixedWindows() const { return false; }
+
   virtual std::unique_ptr<WindowContext> NewWindowContext() {
     return std::make_unique<WindowContext>();
   }
@@ -203,6 +218,18 @@ class ViewEngineBase : public ContinuousEngine {
   /// adds the per-query counts.
   virtual void ProcessInsertDelta(const EdgeUpdate& u, WindowContext& ctx,
                                   UpdateResult& result);
+
+  /// Delta-path deletion of a present edge at `ctx.position` (mixed windows
+  /// only; the window pre-pass already removed it from the seen-edge set):
+  /// retract the shared state the deletion reaches, but only retire — not
+  /// erase — rows the window's final joins may still read, so rows keep
+  /// their ids and provenance tags until `EraseRetired`.
+  virtual void ProcessDeleteDelta(const EdgeUpdate& u, WindowContext& ctx,
+                                  UpdateResult& result);
+
+  /// Ends a mixed window (after FinalizeWindow, or after a budget trip cut
+  /// it short): erases the rows its deletions retired. Default: nothing.
+  virtual void EraseRetired(WindowContext& ctx) { (void)ctx; }
 
   /// Runs the deferred final joins of `ctx`'s shard: exactly one pass per
   /// (query, window), scattering match counts onto `window_results[p - 1]`
@@ -455,6 +482,13 @@ class ViewEngineBase : public ContinuousEngine {
   /// announcing it through OnRowErase first.
   void EraseViewRow(Relation* rel, const VertexId* row);
 
+  /// Erases row `i` of `rel` in place, announcing it through OnRowErase
+  /// first.
+  void EraseViewRowAt(Relation* rel, size_t i) {
+    OnRowErase(rel, i);
+    rel->Erase(i);
+  }
+
   /// Releases tombstoned/slack capacity of the shared routing structures
   /// after a removal (pattern-id table today). Engines call it at the end
   /// of RemoveQueryImpl, after compacting their own indexes.
@@ -470,6 +504,10 @@ class ViewEngineBase : public ContinuousEngine {
   /// row erase each — and forgets the edge (paper §4.3 deletions). Returns
   /// false when the edge was absent.
   bool RemoveFromBaseViews(const EdgeUpdate& u);
+
+  /// The base-view half of RemoveFromBaseViews, for an edge the caller has
+  /// already removed from the seen-edge set (the mixed-window pre-pass).
+  void EraseFromBaseViews(const EdgeUpdate& u);
 
   /// Returns true (and remembers the edge) when `u` was already applied.
   bool IsDuplicateUpdate(const EdgeUpdate& u);
@@ -501,22 +539,25 @@ class ViewEngineBase : public ContinuousEngine {
       pattern_reach_;
   /// False when a subclass overrides CollectFootprint with a reach that is
   /// not a pure function of the matched registered patterns — disables the
-  /// generalization-profile partition cache (see RunInsertWindowImpl).
+  /// generalization-profile partition cache (see RunWindowImpl).
   bool footprint_pattern_local_ = true;
 
  private:
-  /// Executes inserts `updates[lo..hi)` (one delete-free run), appending one
-  /// result per update to `results`. Returns false when the budget tripped
-  /// (the window's unprocessed suffix was dropped). The outer function owns
-  /// the window-cache lifecycle around the inner executor.
-  bool RunInsertWindow(const EdgeUpdate* updates, size_t lo, size_t hi,
-                       std::vector<UpdateResult>& results);
-  bool RunInsertWindowImpl(const EdgeUpdate* updates, size_t lo, size_t hi,
-                             std::vector<UpdateResult>& results);
+  /// Executes one window starting at `updates[lo]` and ending at or before
+  /// `hi` (a delete-free run, or for mixed windows any run — which ends
+  /// early before an insert re-adding an edge the window deleted),
+  /// appending one result per executed update to `results`. Returns false
+  /// when the budget tripped (the window's unprocessed suffix was dropped).
+  /// The outer function owns the window-cache lifecycle around the inner
+  /// executor.
+  bool RunWindow(const EdgeUpdate* updates, size_t lo, size_t hi,
+                 std::vector<UpdateResult>& results);
+  bool RunWindowImpl(const EdgeUpdate* updates, size_t lo, size_t hi,
+                     std::vector<UpdateResult>& results);
 
   /// One memoized window partition: the footprint shards' member lists
   /// (window slot indices, ascending within and across shards). Keyed by the
-  /// window's generalization profile — see RunInsertWindowImpl.
+  /// window's generalization profile — see RunWindowImpl.
   struct WindowPartition {
     std::vector<std::vector<uint32_t>> shard_members;
   };

@@ -257,9 +257,11 @@ IngestStats IngestSession::Replay(ContinuousEngine& engine,
     size_t exec_n = n;
     if (windowed) {
       // Splice each record's due expiry deletions ahead of it, inside the
-      // same batch window (deletions are ApplyBatch barriers, so the result
-      // is byte-identical to an explicit-deletion stream at any window
-      // size). Internal deletions never absorb into the record accounting.
+      // same batch window (ApplyBatch equals sequential execution with
+      // deletions inside — barriers, or TRIC/TRIC+ mixed windows — so the
+      // result is byte-identical to an explicit-deletion stream at any
+      // window size). Internal deletions never absorb into the record
+      // accounting.
       exec_buf.clear();
       is_record.clear();
       for (size_t i = 0; i < n; ++i) {

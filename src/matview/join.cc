@@ -66,13 +66,15 @@ void ExtendRight(RowRange prefix, const Relation& base, const HashIndex* base_sr
 }
 
 void ExtendRightSingle(RowRange prefix, VertexId src, VertexId dst,
-                       const HashIndex* prefix_last_index, Relation& out) {
+                       const HashIndex* prefix_last_index, Relation& out,
+                       const RetiredRowMap* retired) {
   if (prefix.empty()) return;
   const uint32_t p_arity = prefix.rel->arity();
   GS_DCHECK(out.arity() == p_arity + 1);
   RowScratch row(p_arity + 1);
 
   auto emit = [&](size_t i) {
+    if (retired != nullptr && retired->Contains(static_cast<uint32_t>(i))) return;
     const VertexId* pr = prefix.rel->Row(i);
     std::copy(pr, pr + p_arity, row.data());
     row[p_arity] = dst;

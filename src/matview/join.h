@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/ids.h"
 #include "matview/hash_index.h"
 #include "matview/relation.h"
@@ -78,6 +80,19 @@ struct DeltaBatch {
   RowTags tags;
 };
 
+/// Hash functor for row-index keys in FlatMap.
+struct RowIdHash {
+  size_t operator()(uint32_t row) const { return Mix64(row); }
+};
+
+/// The rows of one shared view that deletions inside the current mixed
+/// insert/delete window retired (DESIGN.md §16): row index -> 1-based window
+/// position of the retiring deletion. Retired rows stay in their view until
+/// the window ends (an erase would renumber rows under the window's
+/// provenance checkpoints), so a kernel extending the view's *current*
+/// state skips them.
+using RetiredRowMap = FlatMap<uint32_t, uint32_t, RowIdHash>;
+
 /// Path-extension join (paper §4.2 Step 2): `out += prefix ⋈ base` where the
 /// prefix's last column equals the base edge view's source column (column 0)
 /// and the output row is the prefix row extended with the base target
@@ -92,9 +107,11 @@ void ExtendRight(RowRange prefix, const Relation& base, const HashIndex* base_sr
 
 /// Single-update variant: `out += prefix ⋈ {(src, dst)}` joining the prefix's
 /// last column against `src`. With `prefix_last_index` (cached engines) this
-/// is an O(matches) probe; without it the prefix range is scanned.
+/// is an O(matches) probe; without it the prefix range is scanned. Prefix
+/// rows listed in `retired` (when non-null) are skipped.
 void ExtendRightSingle(RowRange prefix, VertexId src, VertexId dst,
-                       const HashIndex* prefix_last_index, Relation& out);
+                       const HashIndex* prefix_last_index, Relation& out,
+                       const RetiredRowMap* retired = nullptr);
 
 /// Leftward path extension (INC walking a path backwards from the update):
 /// `out += base ⋈ suffix` joining the base target (column 1) against the

@@ -1,5 +1,7 @@
 #include "matview/join_cache.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace gstream {
@@ -73,6 +75,14 @@ HashIndex* WindowJoinCache::Get(const Relation* rel, uint32_t col,
   return index;
 }
 
+void WindowJoinCache::PatchErase(const Relation* rel, size_t row) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t col = 0; col < rel->arity(); ++col) {
+    Entry* entry = cache_.Find(Key{rel, col});
+    if (entry != nullptr && entry->index != nullptr) entry->index->PatchErase(row);
+  }
+}
+
 size_t WindowJoinCache::MemoryBytes() const {
   size_t bytes = sizeof(*this) + cache_.MemoryBytes();
   cache_.ForEach([&](const Key&, const Entry& entry) {
@@ -122,6 +132,25 @@ size_t WindowProvenance::MemoryBytes() const {
     bytes += log.capacity() * sizeof(WindowCheckpoint);
   });
   return bytes;
+}
+
+bool RetiredRowLog::Retire(const Relation* rel, size_t row, uint32_t position) {
+  RetiredRowMap& rows = logs_.GetOrCreate(rel);
+  const bool first = rows.empty();
+  uint32_t& at = rows.GetOrCreate(static_cast<uint32_t>(row));
+  GS_DCHECK(at == 0);
+  at = position;
+  return first;
+}
+
+std::vector<uint32_t> RetiredRowLog::RowsDescending(const Relation* rel) const {
+  std::vector<uint32_t> rows;
+  const RetiredRowMap* retired = RowsOf(rel);
+  if (retired == nullptr) return rows;
+  rows.reserve(retired->size());
+  retired->ForEach([&](uint32_t row, uint32_t) { rows.push_back(row); });
+  std::sort(rows.begin(), rows.end(), [](uint32_t a, uint32_t b) { return a > b; });
+  return rows;
 }
 
 }  // namespace gstream

@@ -68,7 +68,8 @@ class JoinCache : public JoinIndexSource {
 
   /// Call right before `rel->Erase(row)`: patches every cached index over
   /// `rel` (HashIndex::PatchErase) so none of them rebuilds after the
-  /// erase. Coordinator-only (deletions are batch barriers).
+  /// erase. Coordinator-only (a batch window holding a deletion never
+  /// shards).
   void PatchErase(const Relation* rel, size_t row);
 
   /// Releases tombstoned capacity after an eviction wave (one rehash, so
@@ -121,6 +122,11 @@ class WindowJoinCache : public JoinIndexSource {
   /// group passes the group size, so the entry reaches the build threshold
   /// exactly when the equivalent per-query passes would have.
   HashIndex* Get(const Relation* rel, uint32_t col, uint32_t touch_weight) override;
+
+  /// Call right before `rel->Erase(row)`: patches this window's indexes
+  /// over `rel` (see JoinCache::PatchErase). Coordinator-only (a window
+  /// holding a deletion never shards).
+  void PatchErase(const Relation* rel, size_t row);
 
   /// Approximate bytes of all indexes built this window (peak-transient
   /// accounting). Call from the coordinator only.
@@ -184,6 +190,45 @@ class WindowProvenance {
     }
   };
   FlatMap<const Relation*, std::vector<WindowCheckpoint>, PtrHash> logs_;
+};
+
+/// Window-scoped retirement log of a mixed insert/delete window (DESIGN.md
+/// §16), the deletion-side counterpart of WindowProvenance: per shared view,
+/// the rows a deletion inside the window retired and that deletion's window
+/// position. A row is visible from the position that appended it (its
+/// provenance tag) until the position that retired it. The rows stay in
+/// their views while the window runs, so row ids — and with them the
+/// provenance checkpoints — stay stable; the owning engine erases them once
+/// the window's final joins have run.
+///
+/// One instance per window. Windows holding a deletion run on the
+/// coordinator, so no locking. Dropped at the window boundary.
+class RetiredRowLog {
+ public:
+  /// Marks row `row` of `rel` retired at `position`. A row retires at most
+  /// once per window (a deletion only retires rows that are still live).
+  /// Returns true when this is the first row of `rel` the window retired.
+  bool Retire(const Relation* rel, size_t row, uint32_t position);
+
+  /// `rel`'s retired rows, or nullptr when the window retired none. The
+  /// pointer is invalidated by the next Retire.
+  const RetiredRowMap* RowsOf(const Relation* rel) const {
+    return logs_.empty() ? nullptr : logs_.Find(rel);
+  }
+
+  /// `rel`'s retired row ids, descending: erasing in this order with
+  /// swap-remove never moves a retired row that is still waiting.
+  std::vector<uint32_t> RowsDescending(const Relation* rel) const;
+
+  bool empty() const { return logs_.empty(); }
+
+ private:
+  struct PtrHash {
+    size_t operator()(const Relation* r) const {
+      return Mix64(reinterpret_cast<uintptr_t>(r));
+    }
+  };
+  FlatMap<const Relation*, RetiredRowMap, PtrHash> logs_;
 };
 
 }  // namespace gstream

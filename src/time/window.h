@@ -65,9 +65,10 @@ class WindowManager {
   /// Observes one incoming stream update *before* it is applied and appends
   /// the internal deletions that must apply ahead of it to `out` (oldest
   /// first). Returns the number of deletions appended. The caller applies
-  /// `out` then `u`; because deletions are batch-window barriers in
-  /// ApplyBatch, splicing them at these positions is byte-identical to an
-  /// explicit-deletion stream at any batch size.
+  /// `out` then `u`; because ApplyBatch results equal sequential execution
+  /// whether a deletion is a window barrier (INV/INC families) or runs
+  /// inside a mixed window (TRIC/TRIC+), splicing them at these positions is
+  /// byte-identical to an explicit-deletion stream at any batch size.
   size_t Advance(const EdgeUpdate& u, std::vector<EdgeUpdate>& out);
 
   /// Accounting invariant: ingested == live + expired + removed.

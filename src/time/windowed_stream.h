@@ -38,8 +38,9 @@ struct ExpiryOracle {
 ///
 /// Splice order ahead of each update `u`: (1) the TTL'd-query removal wave
 /// due at `u.ts` (a batch barrier — engines forbid lifecycle calls mid
-/// batch), (2) the edge-expiry deletions due at `u.ts` (in-window: deletions
-/// are ApplyBatch barriers, DESIGN.md §4), then (3) `u` itself.
+/// batch), (2) the edge-expiry deletions due at `u.ts` (in-window: ApplyBatch
+/// keeps deletions exact whether they are barriers or, for TRIC/TRIC+, run
+/// inside mixed windows — DESIGN.md §16), then (3) `u` itself.
 ExpiryOracle MaterializeExpiryOracle(const std::vector<StreamEvent>& events,
                                      const WindowConfig& config);
 

@@ -108,7 +108,13 @@ void TricEngine::OnRelationEvicted(const Relation* rel) {
 }
 
 void TricEngine::OnRowErase(const Relation* rel, size_t row) {
-  if (cache_ != nullptr) cache_->PatchErase(rel, row);
+  if (cache_ != nullptr) {
+    cache_->PatchErase(rel, row);
+  } else if (WindowJoinCache* wc = window_cache()) {
+    // Plain TRIC inside a mixed window: the window's indexes over base
+    // views follow the deletion's erases too.
+    wc->PatchErase(rel, row);
+  }
 }
 
 void TricEngine::InitNodeView(TrieNode* node) {
@@ -149,6 +155,33 @@ void TricEngine::MarkAffected(TrieNode* node, DeltaScratch& ds) {
   ds.affected_terminals.push_back(node);
 }
 
+void TricEngine::NoteTerminalFlip(const TrieNode* node, bool filled) {
+  // Stale annotations belong to a grouping the next rebuild recounts.
+  if (node->route_stamp != route_stamp_) return;
+  for (const auto& group_path : node->route_groups) {
+    uint32_t& empty = empty_paths_[group_path.first];
+    if (filled) {
+      GS_DCHECK(empty > 0);
+      --empty;
+    } else {
+      ++empty;
+    }
+  }
+}
+
+void TricEngine::AfterRowsErased(TrieNode* node) {
+  // A cyclic path's filtered projection mirrors its terminal view by row
+  // index, and the erase moved rows: rebuild it lazily from scratch.
+  for (const PathRef& ref : node->paths) {
+    PathInfo& info = queries_.at(ref.qid).paths[ref.path_idx];
+    if (info.filtered != nullptr && info.filtered_upto > 0) {
+      info.filtered->Clear();
+      info.filtered_upto = 0;
+    }
+  }
+  if (node->view->Empty()) NoteTerminalFlip(node, /*filled=*/false);
+}
+
 void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
                                      DeltaScratch& ds) {
   EnsureEpoch(node, ds);
@@ -164,12 +197,15 @@ void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
     // tuple — never a full view-by-view join (paper §4.2 Step 2). TRIC scans
     // the parent view; TRIC+ probes a maintained index on its tail column
     // (as does plain TRIC within a batch window, from the second touch on).
+    // Parent rows an earlier deletion of the window retired are dead.
     ExtendRightSingle(AllRows(*pview), u.src, u.dst,
-                      JoinIndexFor(pview, pview->arity() - 1), *view);
+                      JoinIndexFor(pview, pview->arity() - 1), *view,
+                      ds.wctx != nullptr ? ds.wctx->retired.RowsOf(pview) : nullptr);
   }
 
   const size_t after = view->NumRows();
   if (after == before) return;
+  if (before == 0 && !node->route_groups.empty()) NoteTerminalFlip(node, true);
   NoteWindowGrowth(node, before, ds);
   MarkAffected(node, ds);
   Cascade(node, before, after, ds);
@@ -188,6 +224,7 @@ void TricEngine::Cascade(TrieNode* node, size_t lo, size_t hi, DeltaScratch& ds)
                 *child->view);
     const size_t after = child->view->NumRows();
     if (after == before) continue;  // prune: empty delta stops this branch
+    if (before == 0 && !child->route_groups.empty()) NoteTerminalFlip(child, true);
     NoteWindowGrowth(child, before, ds);
     MarkAffected(child, ds);
     Cascade(child, before, after, ds);
@@ -476,12 +513,27 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
   pass_ran = false;
   tags.clear();
 
-  // End-of-window feasibility: views only grow inside an insert window, so
+  // End-of-window feasibility: node views only grow inside a window (a
+  // deletion retires rows, EraseRetired erases them after the finalize), so
   // a path empty here was empty at every member position.
   for (const PathInfo& info : entry.paths)
     if (info.terminal->view->Empty()) return true;
   NoteFinalJoinPass();
   pass_ran = true;
+
+  // Mixed windows (DESIGN.md §16): the paths whose terminal retired rows in
+  // this window. An assignment counts at its tag only if none of its rows
+  // on these paths was retired at or before that tag.
+  struct RetiredPath {
+    const PathInfo* info;
+    const RetiredRowMap* rows;
+  };
+  std::vector<RetiredPath> retired_paths;
+  if (!wctx.retired.empty()) {
+    for (const PathInfo& info : entry.paths)
+      if (const RetiredRowMap* rows = wctx.retired.RowsOf(info.terminal->view.get()))
+        retired_paths.push_back({&info, rows});
+  }
 
   // Per-(query, window) assignment set: dedup on the vertex columns, each
   // row tagged with the window position sequential execution would have
@@ -546,11 +598,28 @@ bool TricEngine::EvaluateWindowTagged(QueryEntry& entry,
     }
   }
 
+  // Was some row of assignment `a` retired at or before `tag`? Each path's
+  // row is fixed by the assignment: one Find plus one log lookup per path.
+  std::vector<VertexId> path_row;
+  const auto retired_by = [&](const VertexId* a, uint32_t tag) {
+    for (const RetiredPath& rp : retired_paths) {
+      const std::vector<uint32_t>& pos = rp.info->pos_to_vertex;
+      path_row.resize(pos.size());
+      for (size_t c = 0; c < pos.size(); ++c) path_row[c] = a[pos[c]];
+      const size_t i = rp.info->terminal->view->Find(path_row.data());
+      GS_DCHECK(i != Relation::kNoRow);  // joined rows are physical rows
+      const uint32_t* at = rp.rows->Find(static_cast<uint32_t>(i));
+      if (at != nullptr && *at <= tag) return true;
+    }
+    return false;
+  };
+
   // The deduplicated assignments' window positions (ScatterTagCounts input).
   tags.reserve(assignments.NumRows());
   for (size_t r = 0; r < assignments.NumRows(); ++r) {
     const uint32_t tag = assignments.ProvOf(r);
     GS_DCHECK(tag > 0);  // a new match always uses a window row
+    if (!retired_paths.empty() && retired_by(assignments.Row(r), tag)) continue;
     tags.push_back(tag);
   }
   NotePeakTransient(assignments.MemoryBytes());
@@ -617,6 +686,7 @@ void TricEngine::OnRouteGroupsRebuilt() {
   // One bump invalidates every node's annotations at once; the rebuild below
   // re-stamps exactly the terminals the live groups route through.
   ++route_stamp_;
+  empty_paths_.assign(finalize_groups().size(), 0);
   if (!route_enabled()) return;
   for (const auto& group : finalize_groups()) {
     // Signature-equal members reference identical terminals at identical
@@ -630,6 +700,7 @@ void TricEngine::OnRouteGroupsRebuilt() {
         terminal->route_stamp = route_stamp_;
       }
       terminal->route_groups.emplace_back(group->id, pi);
+      if (terminal->view->Empty()) ++empty_paths_[group->id];
     }
   }
 }
@@ -642,14 +713,16 @@ void TricEngine::FinalizeWindowRouted(TricWindowContext& wctx,
   // Expand the affected terminals through their group annotations into
   // (group id, representative path idx) pairs — the routed counterpart of
   // the legacy (qid, path idx) expansion, with fan-out per signature group
-  // instead of per query. Sorted so each group's paths form one run.
+  // instead of per query. A group with an empty terminal cannot match, so
+  // it is skipped before any expansion (EvaluateWindowTagged's test, read
+  // off the maintained count). Sorted so each group's paths form one run.
   std::vector<std::pair<uint32_t, uint32_t>> affected;  // (group id, path idx)
   for (TrieNode* node : wctx.affected_terminals) {
     // Every path-holding terminal is some representative's terminal, and the
     // grouping was rebuilt before this window fanned out.
     GS_DCHECK(node->paths.empty() || node->route_stamp == route_stamp_);
     for (const auto& [gid, pi] : node->route_groups)
-      affected.emplace_back(gid, pi);
+      if (empty_paths_[gid] == 0) affected.emplace_back(gid, pi);
   }
   std::sort(affected.begin(), affected.end());
   NoteRoutedCandidates(affected.size());
@@ -711,40 +784,68 @@ Relation& TricEngine::Retraction::RowsOf(TrieNode* node) {
   return *rows;
 }
 
-bool TricEngine::HandleDelete(const EdgeUpdate& u) {
-  if (seen_edges_.count(u) == 0) return false;
-
+void TricEngine::CollectRetraction(const EdgeUpdate& u, const RetiredRowLog* retired,
+                                   Retraction& retraction) {
   // Collect every doomed row against the pre-delete state: repeated-label
   // chains match one edge at several depths, and each depth's rows are
   // found through its parent's rows, which must all still be present.
-  Retraction retraction;
   std::vector<TrieNode*> matching;
   MatchingNodes(u, matching);
-  for (TrieNode* node : matching) RetractMatchingNode(node, u, retraction);
+  for (TrieNode* node : matching) RetractMatchingNode(node, u, retired, retraction);
+}
 
+bool TricEngine::HandleDelete(const EdgeUpdate& u) {
+  if (seen_edges_.count(u) == 0) return false;
+  Retraction retraction;
+  CollectRetraction(u, nullptr, retraction);
   RemoveFromBaseViews(u);
   for (const auto& [node, rows] : retraction.doomed) {
     if (rows->Empty()) continue;
     for (size_t r = 0; r < rows->NumRows(); ++r)
       EraseViewRow(node->view.get(), rows->Row(r));
-    // A cyclic path's filtered projection mirrors its terminal view by row
-    // index, and the erase moved rows: rebuild it lazily from scratch.
-    for (const PathRef& ref : node->paths) {
-      PathInfo& info = queries_.at(ref.qid).paths[ref.path_idx];
-      if (info.filtered != nullptr && info.filtered_upto > 0) {
-        info.filtered->Clear();
-        info.filtered_upto = 0;
-      }
-    }
+    AfterRowsErased(node);
   }
   return true;
 }
 
+void TricEngine::ProcessDeleteDelta(const EdgeUpdate& u, WindowContext& ctx,
+                                    UpdateResult& result) {
+  TricWindowContext& wctx = static_cast<TricWindowContext&>(ctx);
+  result.changed = true;
+  Retraction retraction;
+  CollectRetraction(u, &wctx.retired, retraction);
+  // Final joins never read base views, so those erase at once: later
+  // inserts of the window cascade through the current base views.
+  EraseFromBaseViews(u);
+  // Node-view rows only retire; their ids stay valid for the window's
+  // provenance checkpoints until EraseRetired.
+  for (const auto& [node, rows] : retraction.doomed) {
+    Relation* view = node->view.get();
+    for (size_t r = 0; r < rows->NumRows(); ++r) {
+      const size_t i = view->Find(rows->Row(r));
+      GS_DCHECK(i != Relation::kNoRow);  // a live row is in its view
+      if (i == Relation::kNoRow) continue;
+      if (wctx.retired.Retire(view, i, wctx.position)) wctx.retired_nodes.push_back(node);
+    }
+  }
+}
+
+void TricEngine::EraseRetired(WindowContext& ctx) {
+  TricWindowContext& wctx = static_cast<TricWindowContext&>(ctx);
+  for (TrieNode* node : wctx.retired_nodes) {
+    Relation* view = node->view.get();
+    for (uint32_t i : wctx.retired.RowsDescending(view)) EraseViewRowAt(view, i);
+    AfterRowsErased(node);
+  }
+}
+
 void TricEngine::RetractMatchingNode(TrieNode* node, const EdgeUpdate& u,
+                                     const RetiredRowLog* retired,
                                      Retraction& retraction) {
   // The insert path's join, aimed at the doomed rows: the rows holding the
   // edge at this node's depth are the parent rows ending in `src`, extended
   // by `dst` (TRIC+ probes the parent's maintained tail-column index).
+  // Parent rows an earlier deletion of the window retired are dead already.
   Relation& rows = retraction.RowsOf(node);
   const size_t before = rows.NumRows();
   if (node->parent == nullptr) {
@@ -753,7 +854,8 @@ void TricEngine::RetractMatchingNode(TrieNode* node, const EdgeUpdate& u,
   } else {
     Relation* pview = node->parent->view.get();
     ExtendRightSingle(AllRows(*pview), u.src, u.dst,
-                      JoinIndexFor(pview, pview->arity() - 1), rows);
+                      JoinIndexFor(pview, pview->arity() - 1), rows,
+                      retired != nullptr ? retired->RowsOf(pview) : nullptr);
   }
   RetractCascade(node, before, retraction);
 }

@@ -104,6 +104,18 @@ class TricEngine : public ViewEngineBase {
                           UpdateResult& result) override;
   void FinalizeWindow(WindowContext& ctx, UpdateResult* window_results) override;
 
+  /// Mixed insert/delete windows (DESIGN.md §16): a deletion inside a window
+  /// runs the retraction cascade against the state at its position, erases
+  /// the base views at once (final joins never read them) and retires the
+  /// doomed node-view rows in the window's log. Later inserts and deletions
+  /// skip retired parent rows, the final join drops assignments holding a
+  /// row retired at or before the assignment's tag, and EraseRetired
+  /// erases the retired rows after FinalizeWindow.
+  bool SupportsMixedWindows() const override { return true; }
+  void ProcessDeleteDelta(const EdgeUpdate& u, WindowContext& ctx,
+                          UpdateResult& result) override;
+  void EraseRetired(WindowContext& ctx) override;
+
   /// Shared-finalize signature (DESIGN.md §9): per covering path the shared
   /// terminal node (clustering maps signature-equal paths to one node, so
   /// the node id names the ordered prefix-view chain) and the path-position
@@ -135,6 +147,16 @@ class TricEngine : public ViewEngineBase {
     std::vector<PathInfo> paths;
   };
 
+  /// Shard-local window context: the affected terminals accumulated across
+  /// the window (deduplicated via TrieNode::window_affected_epoch against
+  /// `window_epoch`), and the node-view rows the window's deletions retired.
+  struct TricWindowContext : WindowContext {
+    uint64_t window_epoch = 0;
+    std::vector<TrieNode*> affected_terminals;
+    RetiredRowLog retired;
+    std::vector<TrieNode*> retired_nodes;  ///< Nodes with retired rows.
+  };
+
   /// Per-update delta scratch: the epoch stamping node delta windows and the
   /// affected-terminal set. One instance per in-flight update, so
   /// footprint-disjoint batch shards can process updates concurrently.
@@ -142,16 +164,9 @@ class TricEngine : public ViewEngineBase {
     uint64_t epoch = 0;
     std::vector<TrieNode*> affected_terminals;
     /// Non-null on the delta path: touched node views are checkpointed at
-    /// the context's current window position.
-    WindowContext* wctx = nullptr;
-  };
-
-  /// Shard-local window context: the affected terminals accumulated across
-  /// the window (deduplicated via TrieNode::window_affected_epoch against
-  /// `window_epoch`).
-  struct TricWindowContext : WindowContext {
-    uint64_t window_epoch = 0;
-    std::vector<TrieNode*> affected_terminals;
+    /// the context's current window position, and the parent rows its
+    /// deletions retired are skipped.
+    TricWindowContext* wctx = nullptr;
   };
 
   /// Allocates a freshly created trie node's view and backfills it from its
@@ -176,6 +191,15 @@ class TricEngine : public ViewEngineBase {
   /// Registers `node` in the per-update affected set when it terminates
   /// covering paths.
   void MarkAffected(TrieNode* node, DeltaScratch& ds);
+
+  /// Empty-terminal bookkeeping of the routed finalize: `node`'s view went
+  /// from empty to non-empty (`filled`) or back. Adjusts the empty-path
+  /// count of every signature group routed through `node`.
+  void NoteTerminalFlip(const TrieNode* node, bool filled);
+
+  /// After rows of `node`'s view were erased: resets the cyclic projections
+  /// mirroring it by row index, and notes a terminal that emptied.
+  void AfterRowsErased(TrieNode* node);
 
   /// Catches `info.filtered` up with its terminal view; returns the full
   /// binding range + schema of the path (view-backed when acyclic).
@@ -233,8 +257,13 @@ class TricEngine : public ViewEngineBase {
   /// rows it removes. Exact because a view row's edge instances are fully
   /// determined by its vertex sequence. Returns false when `u` was absent.
   bool HandleDelete(const EdgeUpdate& u);
+
+  /// Collects the rows deleting `u` retracts, against the current state;
+  /// parent rows in `retired` (when non-null) are already dead and skipped.
+  void CollectRetraction(const EdgeUpdate& u, const RetiredRowLog* retired,
+                         Retraction& retraction);
   void RetractMatchingNode(TrieNode* node, const EdgeUpdate& u,
-                           Retraction& retraction);
+                           const RetiredRowLog* retired, Retraction& retraction);
   void RetractCascade(TrieNode* node, size_t lo, Retraction& retraction);
 
   bool cache_enabled() const { return cache_ != nullptr; }
@@ -263,6 +292,13 @@ class TricEngine : public ViewEngineBase {
   /// is meaningful only when its route_stamp matches. Bumped on every
   /// grouping rebuild, so stale annotations expire without a trie walk.
   uint64_t route_stamp_ = 0;
+
+  /// Per signature group (dense by id): how many of its covering paths end
+  /// at an empty terminal view. Recomputed by OnRouteGroupsRebuilt and kept
+  /// current by NoteTerminalFlip; FinalizeWindowRouted expands only groups
+  /// at 0 — any other group cannot match. A group's terminals all lie in
+  /// one batch shard, so shards write disjoint entries.
+  std::vector<uint32_t> empty_paths_;
 };
 
 }  // namespace tric

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/budget.h"
 #include "engine/driver.h"
 #include "engine/engine.h"
 #include "graph/stream.h"
@@ -31,41 +33,66 @@ std::vector<EngineKind> AllEngineKinds() {
   return kinds;
 }
 
+/// Runs `kind` twice over the same queries: `setup` goes update by update
+/// into both engines, then `updates` goes through sequential `ApplyUpdate`
+/// and through ApplyBatch windows of `window` with `threads` workers (and
+/// the routing index on or off). Every batched result must equal the
+/// sequential one, and the StateFingerprints must agree at every window
+/// boundary. Returns the sequential results of `updates`.
+std::vector<UpdateResult> ExpectEngineBatchMatchesSequential(
+    EngineKind kind, const std::vector<QueryPattern>& queries,
+    const std::vector<EdgeUpdate>& setup, const std::vector<EdgeUpdate>& updates,
+    size_t window, int threads, bool routed, const std::string& label) {
+  auto sequential = CreateEngine(kind);
+  auto batched = CreateEngine(kind);
+  for (QueryId qid = 0; qid < queries.size(); ++qid) {
+    sequential->AddQuery(qid, queries[qid]);
+    batched->AddQuery(qid, queries[qid]);
+  }
+  batched->SetBatchThreads(threads);
+  if (!routed) batched->SetRouteIndex(false);
+  for (const EdgeUpdate& u : setup) {
+    sequential->ApplyUpdate(u);
+    batched->ApplyUpdate(u);
+  }
+  const std::string where = label + ": " + sequential->name() +
+                            " window=" + std::to_string(window) +
+                            " threads=" + std::to_string(threads) +
+                            (routed ? "" : " unrouted");
+
+  std::vector<UpdateResult> expected;
+  expected.reserve(updates.size());
+  for (size_t pos = 0; pos < updates.size(); pos += window) {
+    const size_t n = std::min(window, updates.size() - pos);
+    for (size_t k = pos; k < pos + n; ++k)
+      expected.push_back(sequential->ApplyUpdate(updates[k]));
+    std::vector<UpdateResult> got = batched->ApplyBatch(&updates[pos], n);
+    EXPECT_EQ(got.size(), n) << where;  // no budget set, so no short windows
+    if (got.size() != n) return expected;
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(got[k].changed, expected[pos + k].changed)
+          << where << " at update " << pos + k;
+      EXPECT_EQ(got[k].per_query, expected[pos + k].per_query)
+          << where << " at update " << pos + k;
+      EXPECT_EQ(got[k].triggered, expected[pos + k].triggered)
+          << where << " at update " << pos + k;
+    }
+    EXPECT_EQ(batched->StateFingerprint(), sequential->StateFingerprint())
+        << where << " after update " << pos + n;
+    if (::testing::Test::HasFailure()) return expected;
+  }
+  EXPECT_EQ(batched->MemoryBytes() > 0, sequential->MemoryBytes() > 0) << where;
+  return expected;
+}
+
 void ExpectBatchMatchesSequential(const std::vector<QueryPattern>& queries,
                                   const std::vector<EdgeUpdate>& updates,
                                   size_t window, int threads,
                                   const std::string& label) {
   for (EngineKind kind : AllEngineKinds()) {
-    auto sequential = CreateEngine(kind);
-    auto batched = CreateEngine(kind);
-    for (QueryId qid = 0; qid < queries.size(); ++qid) {
-      sequential->AddQuery(qid, queries[qid]);
-      batched->AddQuery(qid, queries[qid]);
-    }
-    batched->SetBatchThreads(threads);
-
-    std::vector<UpdateResult> expected;
-    expected.reserve(updates.size());
-    for (const EdgeUpdate& u : updates) expected.push_back(sequential->ApplyUpdate(u));
-
-    size_t pos = 0;
-    while (pos < updates.size()) {
-      const size_t n = std::min(window, updates.size() - pos);
-      std::vector<UpdateResult> got = batched->ApplyBatch(&updates[pos], n);
-      ASSERT_EQ(got.size(), n) << label;  // no budget set, so no short windows
-      for (size_t k = 0; k < n; ++k) {
-        ASSERT_EQ(got[k].changed, expected[pos + k].changed)
-            << label << ": " << sequential->name() << " window=" << window
-            << " threads=" << threads << " at update " << pos + k;
-        ASSERT_EQ(got[k].per_query, expected[pos + k].per_query)
-            << label << ": " << sequential->name() << " window=" << window
-            << " threads=" << threads << " at update " << pos + k;
-        ASSERT_EQ(got[k].triggered, expected[pos + k].triggered)
-            << label << ": " << sequential->name() << " at update " << pos + k;
-      }
-      pos += n;
-    }
-    EXPECT_EQ(batched->MemoryBytes() > 0, sequential->MemoryBytes() > 0);
+    ExpectEngineBatchMatchesSequential(kind, queries, {}, updates, window, threads,
+                                       /*routed=*/true, label);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 
@@ -231,7 +258,8 @@ TEST(BatchAgreementDirected, WindowDeltaRunsOneFinalJoinPassPerQueryWindow) {
   // The acceptance gauge of the delta pipeline: a window of K inserts all
   // hitting one query costs K final-join passes per update sequentially but
   // exactly one per (query, window) batched. A deletion splits the window
-  // into two delta windows (barrier), doubling the batched count.
+  // into two delta windows (barrier), doubling the batched count — except
+  // for TRIC/TRIC+, whose mixed windows keep the deletion inside the window.
   StringInterner in;
   auto parsed = ParsePattern("(?a)-[r]->(?b)", in);
   ASSERT_TRUE(parsed.ok);
@@ -261,14 +289,230 @@ TEST(BatchAgreementDirected, WindowDeltaRunsOneFinalJoinPassPerQueryWindow) {
     EXPECT_EQ(batched->final_join_passes(), 1u) << batched->name() << " (delta)";
 
     // Same stream with a foreign-label deletion in the middle: two insert
-    // windows, two passes (the deletion itself matches no query pattern).
+    // windows, two passes (the deletion itself matches no query pattern);
+    // one mixed window, one pass, for TRIC/TRIC+.
     std::vector<EdgeUpdate> split = inserts;
     split.insert(split.begin() + kWindow / 2,
                  EdgeUpdate{v(0), sl, v(1), UpdateOp::kDelete});
     auto barrier = CreateEngine(kind);
     barrier->AddQuery(0, parsed.pattern);
     barrier->ApplyBatch(split.data(), split.size());
-    EXPECT_EQ(barrier->final_join_passes(), 2u) << barrier->name() << " (barrier)";
+    const bool mixed = kind == EngineKind::kTric || kind == EngineKind::kTricPlus;
+    EXPECT_EQ(barrier->final_join_passes(), mixed ? 1u : 2u)
+        << barrier->name() << " (barrier)";
+  }
+}
+
+/// Mixed insert/delete windows (TRIC/TRIC+, DESIGN.md §16): agreement with
+/// sequential execution at windows of 7 and 32, 1 and 4 threads, on the
+/// routed and the legacy finalize path. Returns the sequential results of
+/// `updates`.
+std::vector<UpdateResult> ExpectMixedWindowsMatchSequential(
+    const std::vector<QueryPattern>& queries, const std::vector<EdgeUpdate>& setup,
+    const std::vector<EdgeUpdate>& updates, const std::string& label) {
+  std::vector<UpdateResult> expected;
+  for (EngineKind kind : {EngineKind::kTric, EngineKind::kTricPlus})
+    for (size_t window : {7, 32})
+      for (int threads : {1, 4})
+        for (bool routed : {true, false}) {
+          expected = ExpectEngineBatchMatchesSequential(kind, queries, setup, updates,
+                                                        window, threads, routed, label);
+          if (::testing::Test::HasFailure()) return expected;
+        }
+  return expected;
+}
+
+/// Sum of `r`'s per-query new-embedding counts.
+uint64_t NewEmbeddings(const UpdateResult& r) {
+  uint64_t total = 0;
+  for (const auto& [qid, count] : r.per_query) total += count;
+  return total;
+}
+
+class MixedWindowTest : public ::testing::Test {
+ protected:
+  EdgeUpdate Add(int s, const char* label, int d) {
+    return {V(s), in_.Intern(label), V(d), UpdateOp::kAdd};
+  }
+  EdgeUpdate Del(int s, const char* label, int d) {
+    return {V(s), in_.Intern(label), V(d), UpdateOp::kDelete};
+  }
+  VertexId V(int i) { return in_.Intern("v" + std::to_string(i)); }
+  std::vector<QueryPattern> Parse(const std::vector<const char*>& patterns) {
+    std::vector<QueryPattern> queries;
+    for (const char* p : patterns) {
+      auto r = ParsePattern(p, in_);
+      EXPECT_TRUE(r.ok) << r.error;
+      queries.push_back(r.pattern);
+    }
+    return queries;
+  }
+
+  StringInterner in_;
+};
+
+TEST_F(MixedWindowTest, InsertThenDeleteOfOneEdgeInsideAWindow) {
+  // (v2, v3) lives for two positions: the match it completes counts, and
+  // the later (v2, v4) match must not see it.
+  const auto queries = Parse({"(?a)-[r]->(?b); (?b)-[r]->(?c)",
+                              "(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[s]->(?d)"});
+  const std::vector<EdgeUpdate> setup = {Add(1, "r", 2), Add(3, "s", 9)};
+  const std::vector<EdgeUpdate> updates = {Add(2, "r", 3), Del(2, "r", 3),
+                                           Add(2, "r", 4), Add(3, "s", 8),
+                                           Add(4, "s", 7)};
+  const auto expected =
+      ExpectMixedWindowsMatchSequential(queries, setup, updates, "InsertThenDelete");
+  ASSERT_EQ(expected.size(), updates.size());
+  EXPECT_EQ(NewEmbeddings(expected[0]), 2u);  // (1,2,3) and (1,2,3,9)
+  EXPECT_EQ(NewEmbeddings(expected[2]), 1u);  // (1,2,4)
+  EXPECT_EQ(NewEmbeddings(expected[3]), 0u);  // (1,2,3,8) died with (2,3)
+  EXPECT_EQ(NewEmbeddings(expected[4]), 1u);  // (1,2,4,7)
+}
+
+TEST_F(MixedWindowTest, DeleteOfAnOldEdgeCutsItsWindowBornMatches) {
+  // (v1, v2) predates the window and joins rows the window creates: matches
+  // completed before its deletion count, matches after it do not.
+  const auto queries = Parse({"(?a)-[r]->(?b); (?b)-[r]->(?c)",
+                              "(?a)-[r]->(?b); (?b)-[s]->(?c)",
+                              "(v1)-[r]->(?b); (?b)-[r]->(?c)"});
+  const std::vector<EdgeUpdate> setup = {Add(1, "r", 2), Add(0, "r", 1)};
+  const std::vector<EdgeUpdate> updates = {Add(2, "r", 3), Add(2, "s", 5),
+                                           Del(1, "r", 2), Add(2, "r", 4),
+                                           Add(2, "s", 6), Add(1, "r", 7),
+                                           Add(7, "s", 8)};
+  const auto expected =
+      ExpectMixedWindowsMatchSequential(queries, setup, updates, "DeleteOldEdge");
+  ASSERT_EQ(expected.size(), updates.size());
+  EXPECT_EQ(NewEmbeddings(expected[0]), 2u);  // (1,2,3) twice: q0 and q2
+  EXPECT_EQ(NewEmbeddings(expected[1]), 1u);  // q1 (1,2,5)
+  EXPECT_TRUE(expected[2].changed);
+  EXPECT_EQ(NewEmbeddings(expected[3]), 0u);  // (1,2) is gone
+  EXPECT_EQ(NewEmbeddings(expected[4]), 0u);
+  EXPECT_EQ(NewEmbeddings(expected[5]), 1u);  // q0 (0,1,7)
+  EXPECT_EQ(NewEmbeddings(expected[6]), 1u);  // q1 (1,7,8)
+}
+
+TEST_F(MixedWindowTest, DeleteThenReinsertSplitsTheWindow) {
+  // A re-insert of an edge the window deleted ends the window there; the
+  // re-insert must re-trigger the matches it completes.
+  const auto queries = Parse({"(?a)-[r]->(?b); (?b)-[r]->(?c)", "(?x)-[r]->(?y)"});
+  const std::vector<EdgeUpdate> setup = {Add(1, "r", 2), Add(2, "r", 3)};
+  const std::vector<EdgeUpdate> updates = {Del(1, "r", 2), Add(3, "r", 4),
+                                           Add(1, "r", 2), Del(2, "r", 3),
+                                           Add(2, "r", 3), Add(1, "r", 2),
+                                           Del(3, "r", 4)};
+  const auto expected =
+      ExpectMixedWindowsMatchSequential(queries, setup, updates, "DeleteReinsert");
+  ASSERT_EQ(expected.size(), updates.size());
+  EXPECT_EQ(NewEmbeddings(expected[1]), 2u);  // (2,3,4) + edge (3,4)
+  EXPECT_EQ(NewEmbeddings(expected[2]), 2u);  // (1,2,3) + edge (1,2)
+  EXPECT_EQ(NewEmbeddings(expected[4]), 3u);  // (1,2,3), (2,3,4) + edge (2,3)
+  EXPECT_FALSE(expected[5].changed);          // duplicate
+}
+
+/// Random windows over a tiny vertex pool: inserts, deletions of recent
+/// edges (often inside the window that inserted them), re-inserts of recent
+/// victims, duplicates and absent deletions, on repeated-label chains and
+/// cyclic paths.
+TEST_F(MixedWindowTest, RandomMixedWindowsOnChainsAndCycles) {
+  const auto queries = Parse({
+      "(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[r]->(?d)",
+      "(?a)-[r]->(?b); (?b)-[r]->(?c)",
+      "(?a)-[r]->(?b)",
+      "(?a)-[r]->(?b); (?b)-[r]->(?a)",
+      "(?a)-[r]->(?b); (?b)-[r]->(?c); (?c)-[r]->(?a)",
+      "(?a)-[r]->(?b); (?b)-[s]->(?c); (?c)-[r]->(?a)",
+      "(?a)-[r]->(?b); (?b)-[r]->(?b)",
+      "(v0)-[r]->(?b); (?b)-[s]->(?c)",
+      "(?a)-[s]->(?b); (?a)-[r]->(?c); (?c)-[r]->(?d)",
+  });
+  Rng rng(41);
+  std::vector<EdgeUpdate> updates;
+  std::vector<EdgeUpdate> live;
+  std::vector<EdgeUpdate> deleted;
+  for (int i = 0; i < 600; ++i) {
+    const uint64_t pick = rng.Next(10);
+    if (pick < 3 && !live.empty()) {
+      // Delete a recent edge.
+      const size_t k = live.size() - 1 - rng.Next(std::min<size_t>(live.size(), 8));
+      EdgeUpdate u = live[k];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      deleted.push_back(u);
+      u.op = UpdateOp::kDelete;
+      updates.push_back(u);
+    } else if (pick < 4 && !deleted.empty()) {
+      // Re-insert a recent victim.
+      const size_t k =
+          deleted.size() - 1 - rng.Next(std::min<size_t>(deleted.size(), 4));
+      EdgeUpdate u = deleted[k];
+      deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(k));
+      live.push_back(u);
+      updates.push_back(u);
+    } else if (pick < 5 && !updates.empty()) {
+      // Exact repeat of an earlier update: a duplicate insert or an absent
+      // deletion (or, after churn, an effective one).
+      const EdgeUpdate u = updates[rng.Next(updates.size())];
+      updates.push_back(u);
+      auto same = [&](const EdgeUpdate& e) {
+        return e.src == u.src && e.dst == u.dst && e.label == u.label;
+      };
+      live.erase(std::remove_if(live.begin(), live.end(), same), live.end());
+      deleted.erase(std::remove_if(deleted.begin(), deleted.end(), same),
+                    deleted.end());
+      if (u.op == UpdateOp::kAdd) live.push_back(u);
+    } else {
+      EdgeUpdate u = Add(static_cast<int>(rng.Next(5)), rng.Next(4) == 0 ? "s" : "r",
+                         static_cast<int>(rng.Next(5)));
+      auto same = [&](const EdgeUpdate& e) {
+        return e.src == u.src && e.dst == u.dst && e.label == u.label;
+      };
+      if (std::none_of(live.begin(), live.end(), same)) live.push_back(u);
+      deleted.erase(std::remove_if(deleted.begin(), deleted.end(), same),
+                    deleted.end());
+      updates.push_back(u);
+    }
+  }
+  const auto expected =
+      ExpectMixedWindowsMatchSequential(queries, {}, updates, "RandomMixed");
+  uint64_t total = 0;
+  for (const UpdateResult& r : expected) total += NewEmbeddings(r);
+  EXPECT_GT(total, 100u);
+}
+
+TEST_F(MixedWindowTest, BudgetTripRestoresTheSeenEdgesOfTheUnappliedSuffix) {
+  // A budget trip cuts a mixed window short. The applied prefix's retired
+  // rows are erased, and the pre-pass's seen-edge changes for the suffix —
+  // inserts and deletions alike — are undone, newest first: the state must
+  // equal sequential execution of the applied prefix.
+  const auto queries = Parse({"(?a)-[r]->(?b); (?b)-[r]->(?c)", "(?x)-[r]->(?y)"});
+  std::vector<EdgeUpdate> setup;
+  for (int i = 0; i < 40; ++i) setup.push_back(Add(i, "r", (i + 1) % 40));
+  std::vector<EdgeUpdate> updates;
+  for (int i = 0; i < 300; ++i) {
+    // Insert-then-delete pairs of one edge, and deletions of setup edges.
+    updates.push_back(Add(i % 40, "r", 100 + i));
+    updates.push_back(Del(i % 40, "r", 100 + i));
+    if (i % 8 == 0) updates.push_back(Del(i % 40, "r", (i % 40 + 1) % 40));
+  }
+  for (EngineKind kind : {EngineKind::kTric, EngineKind::kTricPlus}) {
+    auto batched = CreateEngine(kind);
+    for (QueryId qid = 0; qid < queries.size(); ++qid) batched->AddQuery(qid, queries[qid]);
+    for (const EdgeUpdate& u : setup) batched->ApplyUpdate(u);
+    Budget budget;
+    budget.SetDeadlineAfter(-1.0);  // trips at the sampled poll
+    batched->set_budget(&budget);
+    const std::vector<UpdateResult> got = batched->ApplyBatch(updates.data(), updates.size());
+    ASSERT_GT(got.size(), 0u) << batched->name();
+    ASSERT_LT(got.size(), updates.size()) << batched->name();
+    EXPECT_TRUE(got.back().timed_out) << batched->name();
+
+    auto sequential = CreateEngine(kind);
+    for (QueryId qid = 0; qid < queries.size(); ++qid)
+      sequential->AddQuery(qid, queries[qid]);
+    for (const EdgeUpdate& u : setup) sequential->ApplyUpdate(u);
+    for (size_t k = 0; k < got.size(); ++k) sequential->ApplyUpdate(updates[k]);
+    EXPECT_EQ(batched->StateFingerprint(), sequential->StateFingerprint())
+        << batched->name() << " cut after " << got.size() << " updates";
   }
 }
 

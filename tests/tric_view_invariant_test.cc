@@ -84,28 +84,68 @@ std::vector<EdgeUpdate> ApplyInserts(TricEngine& engine, graphdb::GraphStore& st
   return applied;
 }
 
-/// Deletes a seeded third of the `applied` edges from `engine` and `store`,
-/// re-adding a random earlier victim after about every third deletion, so
-/// views shrink and regrow through the same rows.
-void DeleteThirdAndReAdd(TricEngine& engine, graphdb::GraphStore& store,
-                         std::vector<EdgeUpdate> applied, uint64_t seed) {
+/// The deletion phase over the `applied` edges: deletes a seeded third of
+/// them, re-adding a random earlier victim after about every third deletion,
+/// so views shrink and regrow through the same rows. Every update changes
+/// the graph.
+std::vector<EdgeUpdate> DeleteThirdAndReAddStream(std::vector<EdgeUpdate> applied,
+                                                  uint64_t seed) {
   Rng rng(seed);
   std::shuffle(applied.begin(), applied.end(), rng.engine());
   applied.resize(applied.size() / 3);
+  std::vector<EdgeUpdate> stream;
   std::vector<EdgeUpdate> deleted;
   for (EdgeUpdate u : applied) {
     u.op = UpdateOp::kDelete;
-    ASSERT_TRUE(engine.ApplyUpdate(u).changed);
-    ASSERT_TRUE(store.RemoveEdge(u.src, u.label, u.dst));
+    stream.push_back(u);
     deleted.push_back(u);
     if (rng.Next(3) != 0) continue;
     const size_t k = rng.Next(deleted.size());
     EdgeUpdate back = deleted[k];
     deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(k));
     back.op = UpdateOp::kAdd;
-    ASSERT_TRUE(engine.ApplyUpdate(back).changed);
-    ASSERT_TRUE(store.AddEdge(back.src, back.label, back.dst));
+    stream.push_back(back);
   }
+  return stream;
+}
+
+/// Applies DeleteThirdAndReAddStream to `engine` and `store` one update at
+/// a time.
+void DeleteThirdAndReAdd(TricEngine& engine, graphdb::GraphStore& store,
+                         std::vector<EdgeUpdate> applied, uint64_t seed) {
+  for (const EdgeUpdate& u : DeleteThirdAndReAddStream(std::move(applied), seed)) {
+    ASSERT_TRUE(engine.ApplyUpdate(u).changed);
+    if (u.op == UpdateOp::kDelete)
+      ASSERT_TRUE(store.RemoveEdge(u.src, u.label, u.dst));
+    else
+      ASSERT_TRUE(store.AddEdge(u.src, u.label, u.dst));
+  }
+}
+
+/// Applies `updates` to `engine` through ApplyBatch windows of `window`
+/// updates and to `store`, checking every trie view against the graph at
+/// each window boundary. Returns the number of nodes the last check saw.
+size_t ApplyBatchedAndCheck(TricEngine& engine, graphdb::GraphStore& store,
+                            const std::vector<EdgeUpdate>& updates, size_t window,
+                            const std::string& what) {
+  size_t checked = 0;
+  for (size_t pos = 0; pos < updates.size(); pos += window) {
+    const size_t n = std::min(window, updates.size() - pos);
+    const std::vector<UpdateResult> results = engine.ApplyBatch(&updates[pos], n);
+    EXPECT_EQ(results.size(), n) << what;
+    for (size_t k = pos; k < pos + n; ++k) {
+      const EdgeUpdate& u = updates[k];
+      if (u.op == UpdateOp::kDelete)
+        store.RemoveEdge(u.src, u.label, u.dst);
+      else
+        store.AddEdge(u.src, u.label, u.dst);
+    }
+    checked = ExpectViewsMatchGraph(
+        engine, store, what + " window " + std::to_string(window) + " ending at " +
+                           std::to_string(pos + n));
+    if (::testing::Test::HasFatalFailure()) return checked;
+  }
+  return checked;
 }
 
 workload::Workload SnbStream() {
@@ -165,6 +205,38 @@ TEST(TricViewInvariant, ViewsEqualFromScratchEvaluationAfterDeletions) {
     const size_t checked =
         ExpectViewsMatchGraph(engine, store, cached ? "TRIC+" : "TRIC");
     EXPECT_GT(checked, 50u);
+  }
+}
+
+/// The deletion invariant through batch windows: deletions inside an
+/// ApplyBatch window (TRIC/TRIC+ keep them in the window and erase the
+/// retired rows at its end) must leave every view equal to a from-scratch
+/// evaluation at every window boundary.
+TEST(TricViewInvariant, ViewsEqualFromScratchEvaluationAfterBatchedDeletions) {
+  workload::Workload w = SnbStream();
+  workload::QuerySet qs = SnbQueries(w);
+
+  // The same edge set ApplyInserts leaves behind, as a deletion phase.
+  graphdb::GraphStore scratch;
+  std::vector<EdgeUpdate> applied;
+  for (const auto& u : w.stream.updates())
+    if (scratch.AddEdge(u.src, u.label, u.dst)) applied.push_back(u);
+  const std::vector<EdgeUpdate> deletions = DeleteThirdAndReAddStream(applied, 17);
+
+  for (size_t window : {7, 32}) {
+    for (bool cached : {false, true}) {
+      TricEngine engine(cached);
+      for (QueryId qid = 0; qid < qs.queries.size(); ++qid)
+        engine.AddQuery(qid, qs.queries[qid]);
+
+      graphdb::GraphStore store;
+      const std::string what = cached ? "TRIC+" : "TRIC";
+      ApplyBatchedAndCheck(engine, store, w.stream.updates(), 64, what + " inserts");
+      ASSERT_FALSE(HasFatalFailure());
+      const size_t checked = ApplyBatchedAndCheck(engine, store, deletions, window, what);
+      ASSERT_FALSE(HasFatalFailure());
+      EXPECT_GT(checked, 50u);
+    }
   }
 }
 
@@ -230,6 +302,30 @@ TEST(TricViewInvariant, RepeatedLabelTrieStaysExactAfterDeletions) {
     DeleteThirdAndReAdd(engine, store, ApplyInserts(engine, store, CompleteRGraph(in)),
                         /*seed=*/23);
     EXPECT_EQ(ExpectViewsMatchGraph(engine, store, cached ? "TRIC+" : "TRIC"), 3u);
+  }
+}
+
+/// Repeated-label chains under batched deletions: a window may retire a row
+/// at several depths and re-derive through rows it retired earlier; every
+/// window boundary must see the exact views.
+TEST(TricViewInvariant, RepeatedLabelTrieStaysExactAfterBatchedDeletions) {
+  for (size_t window : {7, 32}) {
+    for (bool cached : {false, true}) {
+      StringInterner in;
+      TricEngine engine(cached);
+      AddRepeatedLabelChains(engine, in);
+
+      const std::vector<EdgeUpdate> inserts = CompleteRGraph(in);
+      std::vector<EdgeUpdate> stream = inserts;
+      const std::vector<EdgeUpdate> deletions = DeleteThirdAndReAddStream(inserts, 23);
+      stream.insert(stream.end(), deletions.begin(), deletions.end());
+
+      graphdb::GraphStore store;
+      EXPECT_EQ(ApplyBatchedAndCheck(engine, store, stream, window,
+                                     cached ? "TRIC+" : "TRIC"),
+                3u);
+      ASSERT_FALSE(HasFatalFailure());
+    }
   }
 }
 
