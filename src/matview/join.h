@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/hash.h"
 #include "common/ids.h"
 #include "matview/hash_index.h"
 #include "matview/relation.h"
@@ -80,18 +79,13 @@ struct DeltaBatch {
   RowTags tags;
 };
 
-/// Hash functor for row-index keys in FlatMap.
-struct RowIdHash {
-  size_t operator()(uint32_t row) const { return Mix64(row); }
-};
-
 /// The rows of one shared view that deletions inside the current mixed
 /// insert/delete window retired (DESIGN.md §16): row index -> 1-based window
 /// position of the retiring deletion. Retired rows stay in their view until
 /// the window ends (an erase would renumber rows under the window's
 /// provenance checkpoints), so a kernel extending the view's *current*
 /// state skips them.
-using RetiredRowMap = FlatMap<uint32_t, uint32_t, RowIdHash>;
+using RetiredRowMap = FlatMap<uint32_t, uint32_t, VertexIdHash>;
 
 /// Path-extension join (paper §4.2 Step 2): `out += prefix ⋈ base` where the
 /// prefix's last column equals the base edge view's source column (column 0)

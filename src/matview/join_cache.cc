@@ -75,14 +75,6 @@ HashIndex* WindowJoinCache::Get(const Relation* rel, uint32_t col,
   return index;
 }
 
-void WindowJoinCache::PatchErase(const Relation* rel, size_t row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (uint32_t col = 0; col < rel->arity(); ++col) {
-    Entry* entry = cache_.Find(Key{rel, col});
-    if (entry != nullptr && entry->index != nullptr) entry->index->PatchErase(row);
-  }
-}
-
 size_t WindowJoinCache::MemoryBytes() const {
   size_t bytes = sizeof(*this) + cache_.MemoryBytes();
   cache_.ForEach([&](const Key&, const Entry& entry) {

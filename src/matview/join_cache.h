@@ -123,11 +123,6 @@ class WindowJoinCache : public JoinIndexSource {
   /// exactly when the equivalent per-query passes would have.
   HashIndex* Get(const Relation* rel, uint32_t col, uint32_t touch_weight) override;
 
-  /// Call right before `rel->Erase(row)`: patches this window's indexes
-  /// over `rel` (see JoinCache::PatchErase). Coordinator-only (a window
-  /// holding a deletion never shards).
-  void PatchErase(const Relation* rel, size_t row);
-
   /// Approximate bytes of all indexes built this window (peak-transient
   /// accounting). Call from the coordinator only.
   size_t MemoryBytes() const;
@@ -148,6 +143,13 @@ class WindowJoinCache : public JoinIndexSource {
   };
   std::mutex mu_;
   FlatMap<Key, Entry, KeyHash> cache_;
+};
+
+/// Hash functor for relation-pointer keys in FlatMap (the window logs).
+struct RelationPtrHash {
+  size_t operator()(const Relation* r) const {
+    return Mix64(reinterpret_cast<uintptr_t>(r));
+  }
 };
 
 /// Window-scoped provenance log of the delta pipeline (DESIGN.md §7): for
@@ -184,12 +186,7 @@ class WindowProvenance {
   size_t MemoryBytes() const;
 
  private:
-  struct PtrHash {
-    size_t operator()(const Relation* r) const {
-      return Mix64(reinterpret_cast<uintptr_t>(r));
-    }
-  };
-  FlatMap<const Relation*, std::vector<WindowCheckpoint>, PtrHash> logs_;
+  FlatMap<const Relation*, std::vector<WindowCheckpoint>, RelationPtrHash> logs_;
 };
 
 /// Window-scoped retirement log of a mixed insert/delete window (DESIGN.md
@@ -223,12 +220,7 @@ class RetiredRowLog {
   bool empty() const { return logs_.empty(); }
 
  private:
-  struct PtrHash {
-    size_t operator()(const Relation* r) const {
-      return Mix64(reinterpret_cast<uintptr_t>(r));
-    }
-  };
-  FlatMap<const Relation*, RetiredRowMap, PtrHash> logs_;
+  FlatMap<const Relation*, RetiredRowMap, RelationPtrHash> logs_;
 };
 
 }  // namespace gstream

@@ -115,22 +115,9 @@ Server::~Server() {
   }
   if (need_kill) Kill();
   if (!started_ && listen_fd_ >= 0) CloseFd(listen_fd_);
+}
 
-  // Every thread is joined. Free the engine and the large buffers here, not
-  // in the member destructors, so the heap they held can go back to the OS:
-  // they were built on this server's apply and connection threads, whose
-  // glibc malloc arenas keep freed memory resident and are rarely reused by
-  // later threads — a process running servers one after another would
-  // otherwise grow with each lifetime.
-  engine_.reset();
-  ring_.reset();
-  journal_.reset();
-  window_mgr_.reset();
-  std::vector<EdgeUpdate>().swap(exec_buf_);
-  std::deque<NotifyLogEntry>().swap(notify_log_);
-  std::vector<SubSlot>().swap(subs_);
-  attached_.clear();
-  conns_.clear();
+Server::HeapTrim::~HeapTrim() {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif

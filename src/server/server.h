@@ -178,6 +178,17 @@ class Server {
   void FanOut(uint64_t index, const UpdateResult& result);
   void SendNotifyTo(Conn& c, const NotifyLogEntry& entry);
 
+  /// Declared first, so destroyed last: once every other member has freed
+  /// its heap, hands the free pages of every malloc arena back to the OS
+  /// (glibc). The engine and buffers were built on this server's apply and
+  /// connection threads, whose arenas keep freed memory resident and are
+  /// rarely reused by later threads — a process running servers one after
+  /// another would otherwise grow with each lifetime.
+  struct HeapTrim {
+    ~HeapTrim();
+  };
+  HeapTrim heap_trim_;
+
   ServerOptions opts_;
   int listen_fd_ = -1;
   int port_ = 0;

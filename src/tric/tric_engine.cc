@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/mem_tracker.h"
 
@@ -108,13 +109,7 @@ void TricEngine::OnRelationEvicted(const Relation* rel) {
 }
 
 void TricEngine::OnRowErase(const Relation* rel, size_t row) {
-  if (cache_ != nullptr) {
-    cache_->PatchErase(rel, row);
-  } else if (WindowJoinCache* wc = window_cache()) {
-    // Plain TRIC inside a mixed window: the window's indexes over base
-    // views follow the deletion's erases too.
-    wc->PatchErase(rel, row);
-  }
+  if (cache_ != nullptr) cache_->PatchErase(rel, row);
 }
 
 void TricEngine::InitNodeView(TrieNode* node) {
@@ -155,20 +150,6 @@ void TricEngine::MarkAffected(TrieNode* node, DeltaScratch& ds) {
   ds.affected_terminals.push_back(node);
 }
 
-void TricEngine::NoteTerminalFlip(const TrieNode* node, bool filled) {
-  // Stale annotations belong to a grouping the next rebuild recounts.
-  if (node->route_stamp != route_stamp_) return;
-  for (const auto& group_path : node->route_groups) {
-    uint32_t& empty = empty_paths_[group_path.first];
-    if (filled) {
-      GS_DCHECK(empty > 0);
-      --empty;
-    } else {
-      ++empty;
-    }
-  }
-}
-
 void TricEngine::AfterRowsErased(TrieNode* node) {
   // A cyclic path's filtered projection mirrors its terminal view by row
   // index, and the erase moved rows: rebuild it lazily from scratch.
@@ -179,7 +160,6 @@ void TricEngine::AfterRowsErased(TrieNode* node) {
       info.filtered_upto = 0;
     }
   }
-  if (node->view->Empty()) NoteTerminalFlip(node, /*filled=*/false);
 }
 
 void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
@@ -205,7 +185,6 @@ void TricEngine::ProcessMatchingNode(TrieNode* node, const EdgeUpdate& u,
 
   const size_t after = view->NumRows();
   if (after == before) return;
-  if (before == 0 && !node->route_groups.empty()) NoteTerminalFlip(node, true);
   NoteWindowGrowth(node, before, ds);
   MarkAffected(node, ds);
   Cascade(node, before, after, ds);
@@ -224,7 +203,6 @@ void TricEngine::Cascade(TrieNode* node, size_t lo, size_t hi, DeltaScratch& ds)
                 *child->view);
     const size_t after = child->view->NumRows();
     if (after == before) continue;  // prune: empty delta stops this branch
-    if (before == 0 && !child->route_groups.empty()) NoteTerminalFlip(child, true);
     NoteWindowGrowth(child, before, ds);
     MarkAffected(child, ds);
     Cascade(child, before, after, ds);
@@ -686,7 +664,6 @@ void TricEngine::OnRouteGroupsRebuilt() {
   // One bump invalidates every node's annotations at once; the rebuild below
   // re-stamps exactly the terminals the live groups route through.
   ++route_stamp_;
-  empty_paths_.assign(finalize_groups().size(), 0);
   if (!route_enabled()) return;
   for (const auto& group : finalize_groups()) {
     // Signature-equal members reference identical terminals at identical
@@ -700,7 +677,6 @@ void TricEngine::OnRouteGroupsRebuilt() {
         terminal->route_stamp = route_stamp_;
       }
       terminal->route_groups.emplace_back(group->id, pi);
-      if (terminal->view->Empty()) ++empty_paths_[group->id];
     }
   }
 }
@@ -713,16 +689,28 @@ void TricEngine::FinalizeWindowRouted(TricWindowContext& wctx,
   // Expand the affected terminals through their group annotations into
   // (group id, representative path idx) pairs — the routed counterpart of
   // the legacy (qid, path idx) expansion, with fan-out per signature group
-  // instead of per query. A group with an empty terminal cannot match, so
-  // it is skipped before any expansion (EvaluateWindowTagged's test, read
-  // off the maintained count). Sorted so each group's paths form one run.
+  // instead of per query. A group with an empty covering-path terminal
+  // cannot match (EvaluateWindowTagged's end-of-window test), so it is
+  // dropped here, before the sort and the per-group work; the test reads the
+  // representative's terminals once per group and window. Sorted so each
+  // group's paths form one run.
+  FlatMap<uint32_t, uint8_t, VertexIdHash> feasible;  // 0 unknown, 1 no, 2 yes
+  const auto can_match = [&](uint32_t gid) {
+    uint8_t& state = feasible.GetOrCreate(gid);
+    if (state == 0) {
+      state = 2;
+      for (const PathInfo& info : queries_.at(groups[gid]->members[0]).paths)
+        if (info.terminal->view->Empty()) state = 1;
+    }
+    return state == 2;
+  };
   std::vector<std::pair<uint32_t, uint32_t>> affected;  // (group id, path idx)
   for (TrieNode* node : wctx.affected_terminals) {
     // Every path-holding terminal is some representative's terminal, and the
     // grouping was rebuilt before this window fanned out.
     GS_DCHECK(node->paths.empty() || node->route_stamp == route_stamp_);
     for (const auto& [gid, pi] : node->route_groups)
-      if (empty_paths_[gid] == 0) affected.emplace_back(gid, pi);
+      if (can_match(gid)) affected.emplace_back(gid, pi);
   }
   std::sort(affected.begin(), affected.end());
   NoteRoutedCandidates(affected.size());

@@ -192,13 +192,8 @@ class TricEngine : public ViewEngineBase {
   /// covering paths.
   void MarkAffected(TrieNode* node, DeltaScratch& ds);
 
-  /// Empty-terminal bookkeeping of the routed finalize: `node`'s view went
-  /// from empty to non-empty (`filled`) or back. Adjusts the empty-path
-  /// count of every signature group routed through `node`.
-  void NoteTerminalFlip(const TrieNode* node, bool filled);
-
   /// After rows of `node`'s view were erased: resets the cyclic projections
-  /// mirroring it by row index, and notes a terminal that emptied.
+  /// mirroring it by row index.
   void AfterRowsErased(TrieNode* node);
 
   /// Catches `info.filtered` up with its terminal view; returns the full
@@ -292,13 +287,6 @@ class TricEngine : public ViewEngineBase {
   /// is meaningful only when its route_stamp matches. Bumped on every
   /// grouping rebuild, so stale annotations expire without a trie walk.
   uint64_t route_stamp_ = 0;
-
-  /// Per signature group (dense by id): how many of its covering paths end
-  /// at an empty terminal view. Recomputed by OnRouteGroupsRebuilt and kept
-  /// current by NoteTerminalFlip; FinalizeWindowRouted expands only groups
-  /// at 0 — any other group cannot match. A group's terminals all lie in
-  /// one batch shard, so shards write disjoint entries.
-  std::vector<uint32_t> empty_paths_;
 };
 
 }  // namespace tric
