@@ -15,18 +15,11 @@ namespace bench {
 
 BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  static const char* kKnown[] = {"full",    "budget-sec", "cell-budget-sec",
-                                 "seed",    "csv",        "batch",
-                                 "threads", "no-shared-finalize",
-                                 "no-route-index", "tenants", "help"};
-  bool usage_error = false;
-  for (const std::string& name : flags.Names()) {
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return name == k; }) == std::end(kKnown)) {
-      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
-      usage_error = true;
-    }
-  }
+  const std::string unknown = flags.FirstUnknown(
+      {"full", "budget-sec", "cell-budget-sec", "seed", "csv", "batch",
+       "threads", "no-shared-finalize", "no-route-index", "tenants", "help"});
+  const bool usage_error = !unknown.empty();
+  if (usage_error) std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
   if (usage_error || flags.Has("help")) {
     std::fprintf(stderr,
                  "bench flags: --full --budget-sec=S --cell-budget-sec=S "

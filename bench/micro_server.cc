@@ -68,7 +68,6 @@ void BM_ServerNotifyFanout(benchmark::State& state) {
     server::ServerOptions sopts;
     sopts.port = 0;
     sopts.batch_window = 64;
-    sopts.window_flush_millis = 5;
     sopts.heartbeat_millis = 50;
     sopts.slow_client = shed ? server::SlowClientPolicy::kShedOldest
                              : server::SlowClientPolicy::kBlock;

@@ -28,11 +28,13 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-std::vector<std::string> Flags::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, value] : values_) names.push_back(name);
-  return names;
+std::string Flags::FirstUnknown(std::initializer_list<const char*> known) const {
+  for (const auto& [name, value] : values_) {
+    bool found = false;
+    for (const char* k : known) found = found || name == k;
+    if (!found) return name;
+  }
+  return "";
 }
 
 std::string Flags::GetString(const std::string& name, const std::string& def) const {

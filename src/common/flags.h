@@ -2,6 +2,7 @@
 #define GSTREAM_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,9 +39,10 @@ class Flags {
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all flags present on the command line (sorted; for strict
-  /// parsers that reject unknown flags).
-  std::vector<std::string> Names() const;
+  /// For strict binaries, which exit 2 on a flag they do not read: the
+  /// first present flag (in name order) that is not in `known`, or "" when
+  /// every flag is known.
+  std::string FirstUnknown(std::initializer_list<const char*> known) const;
 
  private:
   std::map<std::string, std::string> values_;

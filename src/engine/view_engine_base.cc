@@ -64,13 +64,14 @@ Relation* ViewEngineBase::RefBaseView(const GenericEdgePattern& p) {
   // stream sees exactly the base-view contents it would have seen had it
   // been registered up front. This pins down the dynamic-QDB semantics:
   // notifications report only *future* matches, but those matches may
-  // combine old and new edges, same as the oracle's recount-and-diff.
+  // combine old and new edges, same as the oracle's recount-and-diff. Only
+  // the pattern's own label can match, so only its live edges are walked.
   Relation* view = GetOrCreateBaseView(p);
-  for (const EdgeUpdate& e : seen_edges_) {
-    if (!p.Matches(e)) continue;
-    const VertexId row[2] = {e.src, e.dst};
+  seen_edges_.ForEachWithLabel(p.label, [&](VertexId src, VertexId dst) {
+    if (!p.Matches(src, p.label, dst)) return;
+    const VertexId row[2] = {src, dst};
     view->Append(row);
-  }
+  });
   return view;
 }
 
@@ -117,7 +118,7 @@ void ViewEngineBase::EraseViewRow(Relation* rel, const VertexId* row) {
 }
 
 bool ViewEngineBase::RemoveFromBaseViews(const EdgeUpdate& u) {
-  if (seen_edges_.erase(u) == 0) return false;
+  if (!seen_edges_.Erase(u)) return false;
   EraseFromBaseViews(u);
   return true;
 }
@@ -131,7 +132,7 @@ void ViewEngineBase::EraseFromBaseViews(const EdgeUpdate& u) {
 }
 
 bool ViewEngineBase::IsDuplicateUpdate(const EdgeUpdate& u) {
-  return !seen_edges_.insert(u).second;
+  return !seen_edges_.Insert(u);
 }
 
 void ViewEngineBase::EnsureReach() {
@@ -334,7 +335,7 @@ bool ViewEngineBase::RunWindowImpl(const EdgeUpdate* updates, size_t lo,
   for (size_t k = lo; k < hi; ++k) {
     const EdgeUpdate& u = updates[k];
     if (u.op == UpdateOp::kDelete) {
-      const bool present = seen_edges_.erase(u) > 0;
+      const bool present = seen_edges_.Erase(u);
       if (present) deleted.insert(u);
       noop.push_back(present ? 0 : 1);
     } else {
@@ -363,9 +364,9 @@ bool ViewEngineBase::RunWindowImpl(const EdgeUpdate* updates, size_t lo,
       if (noop[j]) continue;
       const EdgeUpdate& u = updates[lo + j];
       if (u.op == UpdateOp::kDelete)
-        seen_edges_.insert(u);
+        seen_edges_.Insert(u);
       else
-        seen_edges_.erase(u);
+        seen_edges_.Erase(u);
     }
   };
 
@@ -612,9 +613,10 @@ uint64_t ViewEngineBase::StateFingerprint() const {
   // their row *contents* are a pure function of the seen-edge set already
   // digested, and row order is batch-schedule-dependent by design.
   uint64_t edges = 0;
-  for (const EdgeUpdate& e : seen_edges_)
-    edges += Mix64(Mix64((static_cast<uint64_t>(e.src) << 32) ^ e.dst) ^
-                   (static_cast<uint64_t>(e.label) * 0x9e3779b97f4a7c15ull));
+  seen_edges_.ForEach([&](VertexId src, LabelId label, VertexId dst) {
+    edges += Mix64(Mix64((static_cast<uint64_t>(src) << 32) ^ dst) ^
+                   (static_cast<uint64_t>(label) * 0x9e3779b97f4a7c15ull));
+  });
 
   uint64_t views = 0;
   for (const auto& [p, rel] : base_views_) {
@@ -641,8 +643,7 @@ size_t ViewEngineBase::SharedMemoryBytes() const {
     bytes += sizeof(p) + rel->MemoryBytes() + 2 * sizeof(void*);
   bytes += base_view_refs_.size() *
            (sizeof(GenericEdgePattern) + sizeof(uint32_t) + 2 * sizeof(void*));
-  bytes += seen_edges_.size() * (sizeof(EdgeUpdate) + 2 * sizeof(void*)) +
-           seen_edges_.bucket_count() * sizeof(void*);
+  bytes += seen_edges_.MemoryBytes();
   bytes += pattern_ids_.MemoryBytes();
   for (const auto& [p, fp] : pattern_reach_)
     bytes += sizeof(p) + fp.capacity() * sizeof(uint64_t) + 2 * sizeof(void*);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <map>
@@ -12,6 +11,7 @@
 #include "common/flat_map.h"
 #include "common/task_scheduler.h"
 #include "engine/engine.h"
+#include "engine/seen_edge_set.h"
 #include "matview/join_cache.h"
 #include "matview/relation.h"
 #include "query/edge_pattern.h"
@@ -530,7 +530,7 @@ class ViewEngineBase : public ContinuousEngine {
   /// Live query references per base-view pattern (see RefBaseView).
   std::unordered_map<GenericEdgePattern, uint32_t, GenericEdgePatternHash>
       base_view_refs_;
-  std::unordered_set<EdgeUpdate, EdgeKeyHash, EdgeKeyEq> seen_edges_;
+  SeenEdgeSet seen_edges_;
   std::atomic<size_t> peak_transient_bytes_{0};
   /// Work-stealing batch scheduler; non-null after SetBatchThreads(>1).
   std::unique_ptr<TaskScheduler> sched_;

@@ -34,8 +34,10 @@ struct RecordBatch {
 
 /// Bounded MPSC ring between N decode threads and the single apply thread.
 /// Mutex + two condvars: correctness and TSan-cleanliness over lock-free
-/// cleverness — the batches are coarse (thousands of records), so the lock
-/// is nowhere near the hot path.
+/// cleverness. A batch is one decoded block: thousands of records from a
+/// `.gsb` file, 1-256 from a server `Edges` frame (one at light load). The
+/// uncontended lock round trip per batch stays small next to applying even
+/// one record through an engine.
 class BoundedBatchRing {
  public:
   struct Stats {
@@ -100,10 +102,11 @@ class BoundedBatchRing {
   enum class PopStatus : uint8_t { kGot = 0, kTimeout = 1, kDone = 2 };
 
   /// Timed Pop for consumers with periodic duties (the socket server's apply
-  /// thread interleaves control ops and window-flush deadlines with popping):
-  /// kGot with a batch, kTimeout when the wait expired — or was cut short by
-  /// Wake — with producers still active, kDone when drained-and-finished or
-  /// aborted. Every return consumes a pending Wake.
+  /// thread interleaves control ops with popping, and pops with timeout 0 to
+  /// learn that the ring ran dry): kGot with a batch, kTimeout when the wait
+  /// expired — or was cut short by Wake — with producers still active,
+  /// kDone when drained-and-finished or aborted. Every return consumes a
+  /// pending Wake.
   PopStatus PopFor(RecordBatch& out, int timeout_millis) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_for(lock, std::chrono::milliseconds(timeout_millis), [&] {

@@ -136,7 +136,6 @@ bool Server::Start(std::string* error) {
   if (opts_.notify_log_capacity < 1) return fail("notify_log_capacity must be >= 1");
   if (opts_.heartbeat_millis < 1) return fail("heartbeat_millis must be >= 1");
   if (opts_.idle_timeout_millis < 1) return fail("idle_timeout_millis must be >= 1");
-  if (opts_.window_flush_millis < 1) return fail("window_flush_millis must be >= 1");
   {
     // The durability contract is the ingest pipeline's: shedding has no
     // replayable prefix, so snapshots (and the journal's resume semantics)
@@ -333,6 +332,7 @@ bool Server::Recover(std::string* error) {
                         recovered_satisfied_.end());
   applied_records_.store(stats.run.updates_applied);
   windows_finalized_.store(stats.windows_finalized);
+  snapshot_records_ = have_state ? st.snap.record_offset : 0;
   expired_edges_.store(window_mgr_->expired_edges());
   expiry_batches_.store(window_mgr_->expiry_batches());
   live_edges_.store(window_mgr_->live_edges());
@@ -1097,9 +1097,14 @@ void Server::ApplyWindow(std::vector<EdgeUpdate>& window,
   }
   window.erase(window.begin(), window.begin() + static_cast<ptrdiff_t>(n));
 
+  // The cadence counts records, not windows: at light load every window
+  // may hold a single record.
   if (opts_.snapshot_every_windows > 0 &&
-      windows_finalized_.load() % opts_.snapshot_every_windows == 0)
+      acc_.stats.updates_applied - snapshot_records_ >=
+          opts_.snapshot_every_windows * opts_.batch_window) {
+    snapshot_records_ = acc_.stats.updates_applied;
     WriteSnapshotState();
+  }
 }
 
 void Server::WriteSnapshotState() {
@@ -1158,14 +1163,13 @@ void Server::WriteSnapshotState() {
 }
 
 void Server::ApplyLoop() {
-  using Clock = std::chrono::steady_clock;
+  // How long an empty window waits for input before the loop polls again;
+  // pushes and Wake (control ops) cut the wait short.
+  constexpr int kIdlePollMillis = 20;
   std::map<uint64_t, RecordBatch> pending;
   uint64_t next_seq = 0;
   std::vector<EdgeUpdate> window;
   std::deque<Span> spans;
-  bool have_deadline = false;
-  Clock::time_point deadline{};
-  const int tick = std::max(1, std::min(opts_.window_flush_millis, 20));
 
   const auto consume = [&](RecordBatch& b) {
     BatchMeta meta;
@@ -1221,39 +1225,24 @@ void Server::ApplyLoop() {
     }
   };
 
+  // Windows batch naturally: an empty window waits for input, a partial one
+  // only takes what is already queued. It applies when full, or as soon as
+  // the ring runs dry — under load the ring never does and windows stay
+  // full, while at light load each record applies at once.
   for (;;) {
     ProcessControlOps();
     RecordBatch batch;
-    int wait = tick;
-    if (have_deadline) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - Clock::now())
-                            .count();
-      wait = static_cast<int>(
-          std::max<long long>(1, std::min<long long>(wait, left)));
-    }
-    const auto status = ring_->PopFor(batch, wait);
+    const auto status =
+        ring_->PopFor(batch, window.empty() ? kIdlePollMillis : 0);
     if (status == BoundedBatchRing::PopStatus::kDone) break;
     if (status == BoundedBatchRing::PopStatus::kGot) {
       pending.emplace(batch.seq, std::move(batch));
       advance();
     }
-    while (window.size() >= opts_.batch_window) {
+    while (window.size() >= opts_.batch_window)
       ApplyWindow(window, spans, opts_.batch_window);
-      have_deadline = false;
-    }
-    if (!window.empty()) {
-      if (!have_deadline) {
-        deadline = Clock::now() +
-                   std::chrono::milliseconds(opts_.window_flush_millis);
-        have_deadline = true;
-      } else if (Clock::now() >= deadline) {
-        ApplyWindow(window, spans, window.size());
-        have_deadline = false;
-      }
-    } else {
-      have_deadline = false;
-    }
+    if (status == BoundedBatchRing::PopStatus::kTimeout && !window.empty())
+      ApplyWindow(window, spans, window.size());
   }
 
   bool killed;

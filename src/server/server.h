@@ -45,7 +45,10 @@ struct ServerOptions {
   EngineKind engine = EngineKind::kTricPlus;
 
   /// Window/thread semantics identical to IngestOptions (the same apply
-  /// machinery runs behind the socket front-end).
+  /// machinery runs behind the socket front-end). A window applies when it
+  /// holds `batch_window` records, or earlier, as soon as the ring runs dry:
+  /// under load windows stay full, and at light load a record applies
+  /// without waiting for the records behind it.
   size_t batch_window = 32;
   int batch_threads = 1;
   bool shared_finalize = true;
@@ -74,17 +77,17 @@ struct ServerOptions {
   int heartbeat_millis = 1000;
   int idle_timeout_millis = 10000;
 
-  /// A partial window flushes this long after its first record arrives, so
-  /// a trickling stream still notifies promptly.
-  int window_flush_millis = 20;
-
   /// Durability (both empty = in-memory only). `journal_path` is the
   /// append-only streaming `.gsb` WAL; `state_path` holds the atomic
-  /// snapshot + subscription + producer-offset image written every
-  /// `snapshot_every_windows` finalized windows. Start() recovers from an
-  /// existing journal automatically.
+  /// snapshot + subscription + producer-offset image. Start() recovers from
+  /// an existing journal automatically.
   std::string journal_path;
   std::string state_path;
+  /// Snapshot cadence, counted in records: a snapshot is written at the
+  /// first window boundary once `snapshot_every_windows * batch_window`
+  /// records have been applied since the last one (every that many full
+  /// windows). Counting records, not windows, keeps a light load of
+  /// one-record windows from multiplying journal fsyncs.
   uint64_t snapshot_every_windows = 0;
 
   /// Sliding-window expiry (src/time): the apply thread splices each
@@ -246,6 +249,8 @@ class Server {
 
   std::atomic<uint64_t> applied_records_{0};
   std::atomic<uint64_t> windows_finalized_{0};
+  /// Applied-record count at the last snapshot (apply thread only).
+  uint64_t snapshot_records_ = 0;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;

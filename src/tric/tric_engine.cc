@@ -783,7 +783,7 @@ void TricEngine::CollectRetraction(const EdgeUpdate& u, const RetiredRowLog* ret
 }
 
 bool TricEngine::HandleDelete(const EdgeUpdate& u) {
-  if (seen_edges_.count(u) == 0) return false;
+  if (!seen_edges_.Contains(u)) return false;
   Retraction retraction;
   CollectRetraction(u, nullptr, retraction);
   RemoveFromBaseViews(u);

@@ -309,6 +309,81 @@ TEST(ChurnDirected, MemoryShrinksUnderChurnWithLiveStream) {
   }
 }
 
+TEST(ChurnDirected, MidStreamAddQueryBackfillsEachLabelFromItsLiveEdges) {
+  // A base view first referenced mid-stream is filled from the live edges
+  // of its own label. Three kinds of label at registration time: one that
+  // never occurred, one whose every edge was deleted, and ones with live
+  // edges (with a constant endpoint too, which filters inside the label).
+  // The new queries' results over the following updates must equal the
+  // oracle's, which recounts from the whole graph.
+  const char* initial = "(?a)-[knows]->(?b); (?b)-[knows]->(?c)";
+  const char* added[] = {
+      "(?a)-[follows]->(?b); (?b)-[knows]->(?c)",  // never occurred
+      "(?a)-[gone]->(?b); (?b)-[likes]->(?c)",     // every edge deleted
+      "(?a)-[likes]->(?b); (?b)-[knows]->(?c)",    // live edges
+      "(m1)-[knows]->(?b); (?b)-[likes]->(?c)",    // live, constant source
+  };
+  constexpr QueryId kFirstAdded = 1;
+  for (EngineKind kind : PaperEngineKinds()) {
+    StringInterner in;
+    auto engine = CreateEngine(kind);
+    auto oracle = CreateEngine(EngineKind::kNaive);
+    engine->AddQuery(0, Parse(initial, in));
+    oracle->AddQuery(0, Parse(initial, in));
+
+    const LabelId knows = in.Intern("knows");
+    const LabelId likes = in.Intern("likes");
+    const LabelId gone = in.Intern("gone");
+    const LabelId follows = in.Intern("follows");
+    auto v = [&](int i) { return in.Intern("m" + std::to_string(i)); };
+    const auto apply = [&](const EdgeUpdate& u, const std::string& label) {
+      ExpectSameResult(engine->ApplyUpdate(u), oracle->ApplyUpdate(u), label);
+    };
+
+    // Before registration: knows/likes/gone edges, some knows deletions,
+    // then every gone edge deleted.
+    Rng rng(43);
+    std::vector<EdgeUpdate> gone_edges;
+    for (int i = 0; i < 90; ++i) {
+      const uint32_t pick = static_cast<uint32_t>(rng.Next(3));
+      EdgeUpdate u{v(static_cast<int>(rng.Next(6))),
+                   pick == 0 ? knows : pick == 1 ? likes : gone,
+                   v(static_cast<int>(rng.Next(6))), UpdateOp::kAdd};
+      if (u.label == knows && rng.Next(5) == 0) u.op = UpdateOp::kDelete;
+      if (u.label == gone) gone_edges.push_back(u);
+      apply(u, engine->name() + " before registration, update " +
+                   std::to_string(i));
+    }
+    ASSERT_FALSE(gone_edges.empty());
+    for (EdgeUpdate u : gone_edges) {
+      u.op = UpdateOp::kDelete;
+      apply(u, engine->name() + " deleting a gone edge");
+    }
+
+    for (QueryId q = 0; q < 4; ++q) {
+      engine->AddQuery(kFirstAdded + q, Parse(added[q], in));
+      oracle->AddQuery(kFirstAdded + q, Parse(added[q], in));
+    }
+
+    // After registration: every label, some deletions. Each added query must
+    // see matches, so the comparison covers every backfill.
+    std::vector<uint64_t> matches(kFirstAdded + 4, 0);
+    const LabelId labels[] = {knows, likes, gone, follows};
+    for (int i = 0; i < 160; ++i) {
+      EdgeUpdate u{v(static_cast<int>(rng.Next(6))), labels[rng.Next(4)],
+                   v(static_cast<int>(rng.Next(6))),
+                   rng.Next(8) == 0 ? UpdateOp::kDelete : UpdateOp::kAdd};
+      const UpdateResult want = oracle->ApplyUpdate(u);
+      ExpectSameResult(engine->ApplyUpdate(u), want,
+                       engine->name() + " after registration, update " +
+                           std::to_string(i));
+      for (const auto& [qid, n] : want.per_query) matches[qid] += n;
+    }
+    for (QueryId q = kFirstAdded; q < kFirstAdded + 4; ++q)
+      EXPECT_GT(matches[q], 0u) << "query " << q << " never matched";
+  }
+}
+
 TEST(ChurnDirected, MixedEventBatchWindowsMatchSequentialByteForByte) {
   // Removals/additions at window boundaries: a scripted mixed stream is
   // replayed (a) sequentially via ApplyUpdate and (b) through ApplyBatch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -111,7 +112,6 @@ ServerOptions FastServerOptions() {
   ServerOptions opts;
   opts.port = 0;
   opts.batch_window = 16;
-  opts.window_flush_millis = 5;
   opts.heartbeat_millis = 50;  // progress acks flow promptly
   return opts;
 }
@@ -213,6 +213,66 @@ TEST(ServerLoopback, BusySubscriberKeepsSendingHeartbeats) {
   const NotifySeq oracle = OracleSequence(EngineKind::kTricPlus, w);
   EXPECT_FALSE(oracle.empty());
   EXPECT_EQ(collector.Take(), oracle);
+}
+
+TEST(ServerLoopback, LoneRecordIsNotifiedWithoutWaitingForItsWindow) {
+  // A window far larger than the stream: a record that waited for its window
+  // to fill would never be applied before Drain. The apply thread instead
+  // applies a partial window as soon as the ring runs dry.
+  ServerOptions opts;
+  opts.batch_window = 1024;
+  Server server(opts);
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+
+  std::mutex mu;
+  std::condition_variable notified;
+  uint64_t notifies = 0;
+  Client subscriber(ClientOptionsFor(server, "subscriber"));
+  subscriber.OnNotify([&](const NotifyMsg&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++notifies;
+    notified.notify_all();
+  });
+  ASSERT_TRUE(subscriber.Connect(&err)) << err;
+  SubAckMsg ack;
+  ASSERT_TRUE(subscriber.Subscribe(0, "(?a)-[e]->(?b)", &ack, &err)) << err;
+  ASSERT_EQ(ack.status, static_cast<uint8_t>(SubStatus::kNew)) << ack.message;
+
+  constexpr uint64_t kRecords = 10;
+  StringInterner interner;
+  std::vector<EdgeUpdate> records;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    EdgeUpdate u;
+    u.src = interner.Intern("s" + std::to_string(i));
+    u.label = interner.Intern("e");
+    u.dst = interner.Intern("d" + std::to_string(i));
+    records.push_back(u);
+  }
+  Client producer(ClientOptionsFor(server, "producer"));
+  ASSERT_TRUE(producer.Connect(&err)) << err;
+  producer.SetDictionary(DictOf(interner));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(producer.StreamEdges({records[i]}, &err)) << err;
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(notified.wait_for(lock, std::chrono::seconds(10),
+                                  [&] { return notifies == i + 1; }))
+        << "record " << i << " was not notified";
+  }
+  const double round_trips_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  producer.Close();
+  subscriber.Close();
+  server.Drain();
+
+  EXPECT_EQ(notifies, kRecords);
+  // One window per record: each was applied alone, before the next was sent.
+  EXPECT_EQ(server.stats().windows_finalized, kRecords);
+  EXPECT_LT(round_trips_ms, 150.0);
 }
 
 /// Raw-socket helper: handshake as `name`, optionally subscribing to the

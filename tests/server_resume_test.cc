@@ -122,7 +122,6 @@ ServerOptions DurableOptions(const Paths& paths, EngineKind kind) {
   opts.port = 0;
   opts.engine = kind;
   opts.batch_window = 16;
-  opts.window_flush_millis = 5;
   opts.heartbeat_millis = 50;
   opts.journal_path = paths.journal;
   opts.state_path = paths.state;
@@ -199,6 +198,39 @@ TEST(ServerResume, KillAndResumeMatchesOracleAcrossEngines) {
   }
 }
 
+/// The snapshot cadence counts records: snapshot_every_windows full windows'
+/// worth. A light load applies every record as its own window, and must not
+/// snapshot (and fsync the journal) once per two of them.
+TEST(ServerResume, SnapshotCadenceCountsRecordsNotWindows) {
+  const workload::Workload w = MakeWorkload(64);
+  Paths paths("cadence");
+  // batch_window 16 x snapshot_every_windows 2: one snapshot per 32 records.
+  Server server(DurableOptions(paths, EngineKind::kTricPlus));
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+
+  Client client(FastClientOptions(server.port()));
+  ASSERT_TRUE(client.Connect(&err)) << err;
+  client.SetDictionary(DictOf(*w.interner));
+  const std::vector<EdgeUpdate>& all = w.stream.updates();
+  ASSERT_EQ(all.size(), 64u);
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_TRUE(client.StreamEdges({all[i]}, &err)) << err;
+    for (int spin = 0; server.applied_records() < i + 1 && spin < 10000; ++spin)
+      ::usleep(1000);
+    ASSERT_EQ(server.applied_records(), i + 1);
+  }
+  // The window holding record 64 writes its snapshot after publishing the
+  // applied count.
+  for (int spin = 0; server.stats().snapshots_written < 2 && spin < 5000; ++spin)
+    ::usleep(1000);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.windows_finalized, 64u) << "records did not apply one by one";
+  EXPECT_EQ(stats.snapshots_written, 2u);
+  client.Close();
+  server.Drain();
+}
+
 /// Network-side fault family: the client's reconnect-resume machinery must
 /// converge to the oracle sequence through torn frames, duplicated frames,
 /// reordered frames (which the server rejects as sequence gaps), stalled
@@ -208,7 +240,6 @@ TEST(ServerResume, WireFaultsStillConvergeToOracle) {
   ServerOptions sopts;
   sopts.port = 0;
   sopts.batch_window = 16;
-  sopts.window_flush_millis = 5;
   sopts.heartbeat_millis = 50;
   Server server(sopts);
   std::string err;

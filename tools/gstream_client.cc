@@ -16,6 +16,8 @@
 //                  [--fault-resets=N] [--fault-seed=N]
 //                  [--heartbeat-millis=N] [--timeout-millis=N]
 //                  [--max-reconnects=N]
+//
+// An unknown flag is named on stderr and exits 2.
 
 #include <unistd.h>
 
@@ -33,6 +35,15 @@ using namespace gstream;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
+  const std::string unknown = flags.FirstUnknown(
+      {"port", "host", "name", "stream", "dataset", "updates", "seed",
+       "queries", "wait-drain", "fault-tear", "fault-dup", "fault-reorder",
+       "fault-delay", "fault-delay-micros", "fault-resets", "fault-seed",
+       "heartbeat-millis", "timeout-millis", "max-reconnects"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "gstream_client: unknown flag --%s\n", unknown.c_str());
+    return 2;
+  }
   const int port = static_cast<int>(flags.GetInt("port", 0));
   if (port <= 0) {
     std::fprintf(stderr, "usage: gstream_client --port=N [options]\n");

@@ -12,15 +12,21 @@
 //                  [--overload=block|shed|failfast]
 //                  [--slow-client=block|shed|disconnect]
 //                  [--outbound-capacity=N] [--sndbuf-bytes=N]
-//                  [--heartbeat-millis=N]
-//                  [--idle-timeout-millis=N] [--flush-millis=N]
+//                  [--heartbeat-millis=N] [--idle-timeout-millis=N]
+//                  [--shared-finalize=true|false]
 //                  [--journal=FILE.gsb --state=FILE.state]
 //                  [--snapshot-every=WINDOWS]
 //                  [--window-policy=none|time|count|label-ttl]
 //                  [--window-width=N]
 //
+// An engine window applies when it holds --window records, or as soon as no
+// further record is queued: a lone record is applied and notified at once,
+// while a saturated stream keeps windows full. --snapshot-every counts full
+// windows' worth of records (WINDOWS x --window) between snapshots.
+//
 // Prints "server listening port=NNNN" once bound (port 0 = ephemeral), and
-// greppable "server exit:" counter lines on shutdown.
+// greppable "server exit:" counter lines on shutdown. An unknown flag is
+// named on stderr and exits 2.
 
 #include <signal.h>
 
@@ -67,6 +73,15 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   Flags flags = Flags::Parse(argc, argv);
+  const std::string unknown = flags.FirstUnknown(
+      {"host", "port", "engine", "window", "threads", "shared-finalize",
+       "ring-capacity", "overload", "slow-client", "outbound-capacity",
+       "sndbuf-bytes", "heartbeat-millis", "idle-timeout-millis", "journal",
+       "state", "snapshot-every", "window-policy", "window-width"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "gstream_server: unknown flag --%s\n", unknown.c_str());
+    return 2;
+  }
   server::ServerOptions opts;
   opts.host = flags.GetString("host", "127.0.0.1");
   opts.port = static_cast<int>(flags.GetIntAtLeast("port", 0, 0));
@@ -94,8 +109,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetPositiveInt("heartbeat-millis", 1000));
   opts.idle_timeout_millis =
       static_cast<int>(flags.GetPositiveInt("idle-timeout-millis", 10000));
-  opts.window_flush_millis =
-      static_cast<int>(flags.GetPositiveInt("flush-millis", 20));
   opts.journal_path = flags.GetString("journal", "");
   opts.state_path = flags.GetString("state", "");
   opts.snapshot_every_windows =
